@@ -131,8 +131,8 @@ let () =
               "bisim.refine_seconds.j4";
               "bisim.weak_refine_seconds.j1"; "bisim.weak_refine_seconds.j2";
               "bisim.weak_refine_seconds.j4";
-              (* peak interned tau-closure payload of the weak sweep: the
-                 lazy pass must report its memory footprint *)
+              (* closure-arena high-water mark of the weak sweep: the
+                 weak pass must report its memory footprint *)
               "bisim.tau.closure_bytes_peak"; "lts.states";
               "lts.transitions"; "lts.segment_bytes_peak";
               (* the forced-spill differential leg: bit-identical CSR,
@@ -258,9 +258,9 @@ let () =
     [ "lts.states"; "ctmc.states"; "sim.events"; "sos.memo.hits";
       "sos.memo.misses"; "lts.par.rounds"; "lts.par.segments";
       "lts.par.segment_bytes_peak";
-      (* the lazy weak pass must actually have exercised its tau-closure
-         cache and reported a memory high-water mark *)
-      "bisim.tau.cache_hits"; "bisim.tau.closure_bytes_peak";
+      (* the weak pass must have condensed its LTS and reported the
+         high-water mark of its closure arenas *)
+      "bisim.tau.components"; "bisim.tau.closure_bytes_peak";
       (* the forced-spill legs and the deliberate guard trip of the tiny
          run must land in the central registry *)
       "lts.spill.segments"; "lts.spill.bytes"; "guard.polls";

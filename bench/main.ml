@@ -296,7 +296,7 @@ let refine_sweep name (lts : Lts.t) =
     (fun (j, _, dt) -> (Printf.sprintf "bisim.refine_seconds.j%d" j, dt))
     results
 
-(* The lazy weak path next to the strong one: the weak-bisimulation
+(* The weak path next to the strong one: the weak-bisimulation
    partition of the study's functional LTS at 1, 2 and 4 jobs
    (bisim.weak_refine_seconds.jN). The partitions must be bit-identical
    across job counts — the standing determinism differential now that
@@ -432,11 +432,11 @@ let scaled_study () =
   let refine_entries =
     if tiny || not smoke then refine_sweep "streaming_scaled" lts else []
   in
-  (* The weak sweep is the lazy path's headline number: the 518k-state
+  (* The weak sweep is the weak path's headline number: the 518k-state
      model's weak partition without ever materializing the saturated
      relation, checked bit-identical across job counts. Gated like the
-     strong sweep; the per-component closure cache's peak footprint
-     rides along in the JSON entry. *)
+     strong sweep; the closure arenas' high-water mark rides along in
+     the JSON entry. *)
   let weak_entries =
     if tiny || not smoke then
       weak_sweep "streaming_scaled" lts
@@ -1170,30 +1170,24 @@ let json_report ~jobs ~micro =
   Printf.bprintf b "  \"jobs\": %d,\n" jobs;
   Printf.bprintf b "  \"quick\": %b,\n" quick;
   (* Perf-history record traveling with every report. On-the-fly weak
-     saturation (previous release), measured on the 518218-state
-     streaming_scaled study on the 1-core CI box: `minimize --weak`
-     holds at most 38.6 MB of interned tau-closure payload
-     (bisim.tau.closure_bytes_peak) instead of materializing the
-     input's saturated relation, at the cost of wall-clock on this
-     tau-thin model (502591 tau-SCCs for ~506k reduced states, so the
-     per-component cache rarely shares): 559 s lazy vs 136 s via the
-     since-removed --saturate oracle, outputs bit-identical. The lazy
-     pass wins where saturation blows up quadratically (long tau
-     chains; see docs/WEAK_EQUIVALENCE.md). This release removes the
-     oracle path and tightens the recompute loop's constants — reused
-     per-view scratch buffers replace per-signature list sorting, and
-     singleton tau-SCCs with no condensed tau successor short-circuit
-     the closure union — leaving the small-model weak sweeps unchanged
-     within noise (streaming weak j1 ~0.036 s before and after). *)
+     saturation, measured on the 518218-state streaming_scaled study:
+     `minimize --weak` never materializes the input's saturated
+     relation. With the earlier lazy per-component closure caches it
+     took 559 s on a 1-core host (136 s via the since-removed
+     --saturate oracle) and held 38.6 MB of interned closures. The weak
+     pass now sweeps the tau-SCC condensation once per refinement round
+     into arenas reused across rounds: 274 s wall on a 2-vCPU host at
+     the default job count, 38.6 MB of arenas
+     (bisim.tau.closure_bytes_peak), of which the strong pre-reduction
+     and the weak refinement take about 120 s each and the
+     quotient-size saturation 1 s; outputs bit-identical. *)
   Buffer.add_string b
-    "  \"notes\": \"weak pass is lazy-only: streaming_scaled (518218 \
-     states, 1-core) minimize --weak peaks at 38.6 MB of interned \
-     tau-closure payload with no materialized saturated relation, 559s \
-     lazy vs 136s via the since-removed --saturate oracle (tau-thin \
-     model: 502591 tau-SCCs), outputs bit-identical; this release adds \
-     scratch-buffer reuse and a singleton tau-SCC fast path to the \
-     closure recompute loop (small-model sweeps unchanged within \
-     noise, streaming weak j1 ~0.036s before and after)\",\n";
+    "  \"notes\": \"weak pass sweeps the tau-SCC condensation once per \
+     round (no closure cache): streaming_scaled (518218 states) minimize \
+     --weak takes 274s on a 2-vCPU host at default jobs with 38.6 MB of \
+     closure arenas and no materialized saturated relation (earlier \
+     lazy caches: 559s on 1 core, 38.6 MB interned), outputs \
+     bit-identical\",\n";
   Printf.bprintf b "  \"figures_wall_clock_s\": {\n";
   List.iter
     (fun (name, dt) ->

@@ -35,8 +35,14 @@ module Rguard = Dpma_util.Guard
    Exit codes: 1 for semantic and runtime errors, 2 for .aem/.measures
    syntax errors — rendered "line L, column C: message", the same
    human-readable form as [Parser.parse_result] — and 3 for a degraded
-   run: a resource guard tripped, the machine-readable verdict went to
-   stdout, and the exit is clean and distinct from a crash. *)
+   run: a resource guard tripped or the state space outgrew
+   --max-states, the machine-readable verdict went to stdout, and the
+   exit is clean and distinct from a crash. *)
+let degraded trip =
+  Format.eprintf "%a@." Rguard.pp_trip trip;
+  print_endline (Rguard.verdict_line trip);
+  exit 3
+
 let handle f =
   try f () with
   | Parser.Parse_error { line; col; message } ->
@@ -48,10 +54,7 @@ let handle f =
   | Measure.Parse_error msg ->
       Printf.eprintf "measure syntax error: %s\n" msg;
       exit 2
-  | Rguard.Resource_exceeded trip ->
-      Format.eprintf "%a@." Rguard.pp_trip trip;
-      print_endline (Rguard.verdict_line trip);
-      exit 3
+  | Rguard.Resource_exceeded trip -> degraded trip
   | Elaborate.Check_error msg ->
       Printf.eprintf "static error: %s\n" msg;
       exit 1
@@ -61,9 +64,7 @@ let handle f =
   | Dpma_sim.Sim.Simulation_error msg ->
       Printf.eprintf "simulation error: %s\n" msg;
       exit 1
-  | Lts.Too_many_states n ->
-      Printf.eprintf "state space exceeds %d states (raise --max-states)\n" n;
-      exit 1
+  | Lts.Too_many_states n -> degraded (Rguard.states_trip ~limit:n)
   | Sys_error msg ->
       Printf.eprintf "%s\n" msg;
       exit 1

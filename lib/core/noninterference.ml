@@ -15,7 +15,7 @@ let observed_pair lts ~high ~low =
 
 let check_lts ?jobs lts ~high ~low =
   let hidden, removed = observed_pair lts ~high ~low in
-  (* Single pass: the product refiner decides the verdict (lazy weak
+  (* Single pass: the product refiner decides the verdict (swept weak
      signatures, one watched refinement), and an INSECURE split hands
      its trail straight to the diagnostics — the union is never
      analyzed twice. *)

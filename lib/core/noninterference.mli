@@ -24,7 +24,7 @@ val check_lts :
   verdict
 (** [jobs] is handed to the product refiner's parallel signature pass
     (default {!Dpma_util.Pool.default_jobs}); verdicts and formulas are
-    identical for any job count. The weak check runs on the lazy
+    identical for any job count. The weak check runs on the swept
     tau-closure pass; the saturated LTS is never materialized (see
     docs/WEAK_EQUIVALENCE.md). *)
 

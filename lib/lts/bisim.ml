@@ -81,16 +81,18 @@ let refine_par_cutoff ~jobs:_ =
   if Pool.hardware_parallelism () <= 1 then max_int else 1024
 
 (* A signature pass abstracts how the refinement loop obtains a state's
-   signature, so stateless signatures (strong, Markovian) and the lazily
-   cached weak/branching signatures share one driver. [sp_signature] is
-   the sequential path, also used by the coordinator (watched-pair
-   recomputation). [sp_worker], when present, creates a per-worker
-   signature function plus a completion hook run from the coordinating
-   domain after the worker's chunks are done (the lazy passes hand out
-   cache shards here and merge them back in the hook). [sp_advance],
-   when present, is called between rounds — with the pre- and post-round
-   partitions — so a caching pass can carry or invalidate its entries
-   before block ids change meaning. *)
+   signature, so stateless signatures (strong, Markovian), the swept weak
+   signatures and the cached branching signatures share one driver.
+   [sp_signature] is the sequential path, also used by the coordinator
+   (watched-pair recomputation) and by pool workers when [sp_worker] is
+   absent. [sp_worker], when present, creates a per-worker signature
+   function plus a completion hook run from the coordinating domain
+   after the worker's chunks are done (the branching pass hands out
+   cache shards here and merges them back in the hook). [sp_advance],
+   when present, is called between rounds — with the pre- and
+   post-round partitions — so the weak pass can re-sweep and the
+   branching pass can carry or invalidate its entries before block ids
+   change meaning. *)
 type sig_pass = {
   sp_signature : int array -> int -> signature;
   sp_worker : (unit -> (int array -> int -> signature) * (unit -> unit)) option;
@@ -199,9 +201,10 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
                 rw_done })
             ~f:(chunk_classes ~block)
             ~finish:(fun w ->
-              (* Runs in the coordinating domain in worker order: lazy
-                 passes merge their cache shards into the parent here,
-                 before the watched-pair recomputation below reads it. *)
+              (* Runs in the coordinating domain in worker order: the
+                 branching pass merges its cache shards into the parent
+                 here, before the watched-pair recomputation below reads
+                 it. *)
               w.rw_done ();
               M.observe I.bisim_par_blocks_per_worker
                 (float_of_int w.rw_classes))
@@ -251,8 +254,9 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
     end
     else if next = !num_blocks then continue_ := false
     else begin
-      (* Another round is coming: let a caching pass carry its entries
-         across the renumbering before old block ids lose meaning. *)
+      (* Another round is coming: let a stateful pass re-sweep or carry
+         its entries across the renumbering before old block ids lose
+         meaning. *)
       (match pass.sp_advance with
       | Some adv -> adv ~old_block:block ~new_block
       | None -> ());
@@ -298,7 +302,7 @@ let strong_partition ?jobs ?par_cutoff lts =
   refine ?jobs ?par_cutoff lts ~signature:(strong_signature lts)
 
 (* States on a common tau-cycle are weakly bisimilar (each can silently
-   reach the other), so collapsing tau-SCCs before the lazy weak pass is
+   reach the other), so collapsing tau-SCCs before the weak pass is
    sound for weak equivalence and shrinks the LTS it condenses. *)
 let tau_scc_partition (lts : Lts.t) =
   let tau_succ s =
@@ -315,42 +319,39 @@ let tau_scc_partition (lts : Lts.t) =
 
 let compose outer inner = Array.map (fun b -> outer.(b)) inner
 
-(* Lazy weak signatures: [Tau.Weak]'s per-component closure caches
-   produce, for each state, exactly the strong signature it would carry
-   on the saturated LTS (see lib/lts/tau.ml and
+(* Weak signatures: [Tau.Weak] sweeps the tau-SCC condensation once per
+   round, producing for each state exactly the strong signature it would
+   carry on the saturated LTS (see lib/lts/tau.ml and
    docs/WEAK_EQUIVALENCE.md), so refinement through this pass is
    round-for-round bit-identical to strong refinement of the
-   materialized saturation while never building the weak relation.
-   Returns the pass and the cache (for the final instrument flush). *)
-let weak_pass lts =
-  let cache = Tau.Weak.create lts in
-  let seq = Tau.Weak.signature_fn cache in
+   materialized saturation while never building the weak relation. The
+   sweep for the trivial partition runs here, each later one in
+   [sp_advance]; between sweeps the signatures are read-only, so pool
+   workers share the sequential signature function and [block] is not
+   consulted. Returns the pass and the sweep (for the final instrument
+   flush). *)
+let weak_pass (lts : Lts.t) =
+  let sweep = Tau.Weak.create lts in
+  Tau.Weak.sweep sweep (Array.make lts.num_states 0);
   ( {
-      sp_signature = (fun block s -> ints_signature (seq block s));
-      sp_worker =
-        Some
-          (fun () ->
-            let sh = Tau.Weak.shard cache in
-            let f = Tau.Weak.shard_signature_fn sh in
-            ( (fun block s -> ints_signature (f block s)),
-              fun () -> Tau.Weak.merge_shard cache sh ));
+      sp_signature =
+        (fun _block s -> ints_signature (Tau.Weak.signature sweep s));
+      sp_worker = None;
       sp_advance =
-        Some
-          (fun ~old_block ~new_block ->
-            Tau.Weak.advance cache ~old_block ~new_block);
+        Some (fun ~old_block:_ ~new_block -> Tau.Weak.sweep sweep new_block);
     },
-    cache )
+    sweep )
 
 let weak_refine ?jobs ?par_cutoff lts =
-  let pass, cache = weak_pass lts in
+  let pass, sweep = weak_pass lts in
   let p = refine_pass ?jobs ?par_cutoff lts ~pass in
-  Tau.Weak.record cache;
+  Tau.Weak.record sweep;
   p
 
 let weak_partition ?jobs ?par_cutoff lts =
   (* Pre-reduce: strongly bisimilar states are weakly bisimilar, and so
      are tau-SCC members; both quotients are cheap and shrink the LTS the
-     lazy pass condenses. *)
+     weak pass condenses. *)
   let p1 = strong_partition ?jobs ?par_cutoff lts in
   let l1 = Lts.quotient lts p1 in
   let p2 = tau_scc_partition l1 in
@@ -466,7 +467,7 @@ let minimize_strong ?jobs ?par_cutoff lts =
   Lts.quotient lts (strong_partition ?jobs ?par_cutoff lts)
 
 (* First-seen dense renumbering in state order — the numbering [refine]
-   itself produces, so the lazy [minimize_weak] quotient carries the
+   itself produces, so the [minimize_weak] quotient carries the
    same state ids as the oracle path's. *)
 let dense_renumber p =
   let map = Int_tbl.create 64 in
@@ -483,7 +484,7 @@ let dense_renumber p =
     p
 
 let minimize_weak ?jobs ?par_cutoff lts =
-  (* The partition comes from the lazy pass; the quotient — one state
+  (* The partition comes from the weak pass; the quotient — one state
      per weak class — is then saturated so the result carries the
      materialized weak (double-arrow) transitions, as the output always
      did. For the coarsest weak partition, quotient and saturation
@@ -648,7 +649,7 @@ let record_product_exit ~rounds ~pruned secure =
     (if secure then I.ni_product_secure_exits else I.ni_product_insecure_exits)
 
 (* Strong quotient then tau-SCC collapse: both preserve weak
-   bisimilarity and shrink the union the lazy pass refines. The same
+   bisimilarity and shrink the union the weak pass refines. The same
    pre-reduction [weak_partition] applies to a materialized union, here
    performed per side so the unreduced union never exists. *)
 let weak_reduce ?jobs ?par_cutoff lts =
@@ -667,16 +668,16 @@ let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
       let qa = weak_reduce ?jobs ?par_cutoff ra
       and qb = weak_reduce ?jobs ?par_cutoff rb in
       (* Disjoint union commutes with saturation, so refining the
-         unsaturated union through the lazy weak pass sees the same
+         unsaturated union through the weak pass sees the same
          signatures — hence the same rounds, watched exit and trail — as
          strong refinement of a saturated union would. *)
       let partition, rounds, split =
         let union, ia, ib = Lts.disjoint_union qa qb in
-        let pass, cache = weak_pass union in
+        let pass, sweep = weak_pass union in
         let r =
           refine_watched_pass ?jobs ?par_cutoff union ~pass ~watch:(ia, ib)
         in
-        Tau.Weak.record cache;
+        Tau.Weak.record sweep;
         r
       in
       record_product_exit ~rounds ~pruned:(pruned_a + pruned_b)

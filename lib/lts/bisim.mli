@@ -6,19 +6,21 @@
 
     Weak (observational) equivalence is Milner's reduction to strong
     bisimulation over the double-arrow relation — but the double arrows
-    are never materialized. Weak signatures are computed on demand,
-    directly on the packed CSR, via lazy tau-closure over the tau-SCC
-    condensation DAG, memoized per component and carried across
-    refinement rounds until a block they depend on splits ({!Tau}).
-    The lazy signatures equal, pair for pair, the strong signatures of
-    the saturated LTS, so partitions, verdicts, rounds and distinguishing
-    formulas are bit-identical to what strong refinement of the
-    materialized saturation would produce (the retired [--saturate]
-    oracle; {!Tau.saturate} still materializes the closure where actual
-    weak transitions are needed). Peak cache memory tracks live blocks,
-    not the saturated edge set; docs/WEAK_EQUIVALENCE.md documents the
-    contract, the invalidation rule and the memory model. Branching
-    signatures go through a per-state cache of the same design.
+    are never materialized. Weak signatures are computed directly on the
+    packed CSR: each refinement round sweeps the tau-SCC condensation
+    DAG once, in topological order, filling every component's
+    tau-closure blocks and weak signature into arenas reused across
+    rounds ({!Tau.Weak}). The swept signatures equal, pair for pair, the
+    strong signatures of the saturated LTS, so partitions, verdicts,
+    rounds and distinguishing formulas are bit-identical to what strong
+    refinement of the materialized saturation would produce (the retired
+    [--saturate] oracle; {!Tau.saturate} still materializes the closure
+    where actual weak transitions are needed). The arenas hold one
+    round's signatures — on tau-thin models the size of the CSR — never
+    the saturated edge set. Branching signatures go through a per-state
+    cache carried across rounds until a block they depend on splits
+    ({!Tau.Branching}); docs/WEAK_EQUIVALENCE.md documents the contract,
+    the invalidation rule and the memory model.
 
     {2 Parallel refinement}
 
@@ -30,11 +32,12 @@
     assigning global class ids in first-seen order. The merged numbering
     is exactly the sequential first-seen-by-state-index numbering, so
     partitions, quotients, verdicts, and distinguishing formulas are
-    bit-identical for any job count. The lazy weak/branching passes keep
-    this property: workers compute closures into thread-confined cache
-    shards over the frozen parent cache, merged back deterministically
-    between rounds (shard entries for one component are content-equal by
-    construction).
+    bit-identical for any job count. The weak and branching passes keep
+    this property: weak workers read the round's sweep, which is frozen
+    during the round; branching workers compute into thread-confined
+    cache shards over the frozen parent cache, merged back
+    deterministically between rounds (shard entries for one state are
+    content-equal by construction).
 
     [?par_cutoff] is the state count below which a refinement runs
     sequentially even when [jobs > 1] (the signature pass is then too
@@ -48,9 +51,10 @@ val strong_partition : ?jobs:int -> ?par_cutoff:int -> Lts.t -> int array
     [i], blocks numbered densely from 0. *)
 
 val weak_partition : ?jobs:int -> ?par_cutoff:int -> Lts.t -> int array
-(** Coarsest weak-bisimulation partition, computed with lazy tau-closure
-    signatures on the packed CSR — the saturated LTS is never
-    materialized. *)
+(** Coarsest weak-bisimulation partition, computed with swept
+    tau-closure signatures on the packed CSR — the saturated LTS is
+    never materialized. On a tau-free LTS it is {!strong_partition},
+    numbering included. *)
 
 val markovian_partition : ?jobs:int -> ?par_cutoff:int -> Lts.t -> int array
 (** Coarsest ordinary-lumpability partition: signatures accumulate total
@@ -78,7 +82,7 @@ val minimize_strong : ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t
 val minimize_weak : ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t
 (** Quotient by the coarsest weak partition, carrying the saturated
     (double-arrow) transitions of the result — one weak-transition edge
-    set per class pair. The partition comes from the lazy pass (the
+    set per class pair. The partition comes from the weak pass (the
     input is never saturated); double arrows are materialized by
     {!Tau.saturate} on the quotient only (one state per weak class), so
     the quadratic step runs at minimized size. *)
@@ -106,7 +110,7 @@ val trace_equivalent : ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
     first pruned to the part reachable from its initial state and
     pre-reduced on its own (strong quotient, tau-SCC collapse — for the
     weak check); the reduced sides are stitched unsaturated and refined
-    through the lazy weak pass (no ["bisim.saturate"] span fires). The
+    through the weak pass (no ["bisim.saturate"] span fires). The
     watched refinement over the stitched product stops as soon as the two
     initial states split (early-exit INSECURE, splitting signatures
     retained) or as soon as the partition over the pruned product is

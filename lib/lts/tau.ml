@@ -1,12 +1,13 @@
-(* On-the-fly weak saturation: tau-SCC condensation of the packed CSR and
-   per-component tau-closure caches.
+(* On-the-fly weak saturation: tau-SCC condensation of the packed CSR,
+   a per-round closure sweep for weak signatures, and a per-state cache
+   for branching signatures.
 
-   [Bisim]'s lazy weak pass asks, each refinement round, for the weak
+   [Bisim]'s weak pass asks, each refinement round, for the weak
    signature of every state — the packed (label, block) pairs reachable
    through [=tau*=> -a-> =tau*=>] moves — without materializing the
    saturated transition relation. All states of one tau-SCC are mutually
    tau-reachable and therefore share one weak signature, so the unit of
-   caching is a component of the condensation DAG. Two layers:
+   computation is a component of the condensation DAG. Two layers:
 
      C(c) = blocks of the states tau-reachable from c
           = member blocks of c  U  C(d), for condensed tau edges c -> d
@@ -22,23 +23,15 @@
    the W(d) terms, the members of every DAG-reachable component), the
    tau-closure blocks of its observable successors. Refinement over
    these signatures is therefore round-for-round bit-identical to strong
-   refinement of the materialized saturation. C recurses through tau
-   edges only (acyclic after condensation); W additionally reads the C
-   of observable target components, which can sit anywhere in the DAG —
-   which is why the two layers are kept separate (a one-layer recursion
-   through observable edges could cycle).
+   refinement of the materialized saturation.
 
-   Entries are interned: equal sets share one canonical array, so the
-   cached payload is bounded by the number of distinct signatures — at
-   most the next round's block count, since a block has exactly one
-   signature — rather than by components, let alone by saturated edges
-   (docs/WEAK_EQUIVALENCE.md works out the memory model and the
-   quadratic counterexample). Across rounds entries survive splits by
-   block renaming: refinement renumbers every block, but a block that
-   did not split maps to exactly one new id, so an entry all of whose
-   mentioned blocks are unsplit is remapped in place ([remap_pairs]);
-   an entry mentioning a split block is dropped and recomputed on
-   demand. *)
+   Tarjan numbers every condensed tau dependency below its component, so
+   one ascending pass over the components fills C, and a second fills W
+   — W also reads the C of observable target components, which can sit
+   anywhere in the DAG, hence two passes rather than one. [Weak] runs
+   both passes once per refinement round into flat offset/data arenas
+   that live as long as the weak pass and are reused across rounds
+   (docs/WEAK_EQUIVALENCE.md works out the memory model). *)
 
 module Scc = Dpma_util.Scc
 
@@ -124,7 +117,237 @@ let condense (lts : Lts.t) =
   { num_comps; comp_of; tau_row; tau_tgt; mem_row; members }
 
 (* ------------------------------------------------------------------ *)
-(* Interning and cross-round renaming, shared by both caches           *)
+(* Weak signatures: one C / W sweep per refinement round               *)
+
+module Weak = struct
+  (* C and W in CSR form: component [c]'s closure is
+     [c_data.(c_row.(c) .. c_row.(c + 1) - 1)], sorted and deduped, and
+     likewise for W. The data arenas and the union scratch [buf] only
+     grow, so a weak pass allocates them once and every later round
+     overwrites them in place. *)
+  type t = {
+    lts : Lts.t;
+    cond : condensation;
+    c_row : int array;
+    mutable c_data : int array;
+    w_row : int array;
+    mutable w_data : int array;
+    mutable buf : int array;
+    mutable len : int;
+  }
+
+  let create (lts : Lts.t) =
+    let cond =
+      Dpma_obs.Trace.with_span "bisim.tau.condense"
+        ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
+          condense lts)
+    in
+    let k = cond.num_comps in
+    (* Sized for the tau-thin shape (singleton components: one block in
+       C, one tau pair plus the out-degree in W); denser models grow the
+       arenas during the first sweep. *)
+    {
+      lts;
+      cond;
+      c_row = Array.make (k + 1) 0;
+      c_data = Array.make (max 1 k) 0;
+      w_row = Array.make (k + 1) 0;
+      w_data = Array.make (max 1 (k + Lts.num_transitions lts)) 0;
+      buf = Array.make 256 0;
+      len = 0;
+    }
+
+  let grow a need =
+    if need <= Array.length a then a
+    else begin
+      let b = Array.make (max need (2 * Array.length a)) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+
+  let push t x =
+    if t.len = Array.length t.buf then t.buf <- grow t.buf (t.len + 1);
+    t.buf.(t.len) <- x;
+    t.len <- t.len + 1
+
+  (* Sort and dedup the scratch union in place, append it to [data] at
+     [pos], and return the (possibly regrown) arena. Insertion sort
+     covers the short unions of tau-thin models without allocating. *)
+  let flush t data pos =
+    let a = t.buf and n = t.len in
+    if n > 16 then begin
+      let tmp = Array.sub a 0 n in
+      Array.sort Int.compare tmp;
+      Array.blit tmp 0 a 0 n
+    end
+    else
+      for i = 1 to n - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done;
+    let k = ref (min n 1) in
+    for i = 1 to n - 1 do
+      if a.(i) <> a.(!k - 1) then begin
+        a.(!k) <- a.(i);
+        incr k
+      end
+    done;
+    let data = grow data (pos + !k) in
+    Array.blit a 0 data pos !k;
+    t.len <- 0;
+    (data, pos + !k)
+
+  let sweep t block =
+    let cond = t.cond and lts = t.lts in
+    let k = cond.num_comps in
+    (* Pass 1: C. Every condensed tau target [d] of [c] is below [c], so
+       its closure is complete — and [c_row.(d + 1)] already set — when
+       [c] is reached. *)
+    let pos = ref 0 in
+    for c = 0 to k - 1 do
+      t.c_row.(c) <- !pos;
+      for i = cond.mem_row.(c) to cond.mem_row.(c + 1) - 1 do
+        push t block.(cond.members.(i))
+      done;
+      for i = cond.tau_row.(c) to cond.tau_row.(c + 1) - 1 do
+        let d = cond.tau_tgt.(i) in
+        for j = t.c_row.(d) to t.c_row.(d + 1) - 1 do
+          push t t.c_data.(j)
+        done
+      done;
+      let data, p = flush t t.c_data !pos in
+      t.c_data <- data;
+      pos := p
+    done;
+    t.c_row.(k) <- !pos;
+    (* Pass 2: W, reading C anywhere in the DAG and W below [c]. *)
+    pos := 0;
+    for c = 0 to k - 1 do
+      t.w_row.(c) <- !pos;
+      for j = t.c_row.(c) to t.c_row.(c + 1) - 1 do
+        push t (pack_pair Lts.tau t.c_data.(j))
+      done;
+      for i = cond.tau_row.(c) to cond.tau_row.(c + 1) - 1 do
+        let d = cond.tau_tgt.(i) in
+        for j = t.w_row.(d) to t.w_row.(d + 1) - 1 do
+          push t t.w_data.(j)
+        done
+      done;
+      for i = cond.mem_row.(c) to cond.mem_row.(c + 1) - 1 do
+        let x = cond.members.(i) in
+        for e = lts.row.(x) to lts.row.(x + 1) - 1 do
+          let l = lts.lab.(e) in
+          if l <> Lts.tau then begin
+            let u = cond.comp_of.(lts.tgt.(e)) in
+            for j = t.c_row.(u) to t.c_row.(u + 1) - 1 do
+              push t (pack_pair l t.c_data.(j))
+            done
+          end
+        done
+      done;
+      let data, p = flush t t.w_data !pos in
+      t.w_data <- data;
+      pos := p
+    done;
+    t.w_row.(k) <- !pos
+
+  let signature t s =
+    let c = t.cond.comp_of.(s) in
+    Array.sub t.w_data t.w_row.(c) (t.w_row.(c + 1) - t.w_row.(c))
+
+  let record t =
+    let module I = Dpma_obs.Instruments in
+    let module M = Dpma_obs.Metrics in
+    (* The arrays only grow, so their size is the high-water mark. *)
+    let words =
+      Array.length t.c_row + Array.length t.c_data + Array.length t.w_row
+      + Array.length t.w_data + Array.length t.buf
+    in
+    M.set I.bisim_tau_components (float_of_int t.cond.num_comps);
+    M.set I.bisim_tau_closure_bytes (float_of_int (8 * words))
+end
+
+(* ------------------------------------------------------------------ *)
+(* Materialized saturation                                              *)
+
+(* The weak sweep and the branching cache answer signature queries
+   without ever building the double-arrow relation; the functions below
+   build it, for the few places that need actual weak transitions:
+   [Bisim.minimize_weak]'s output (saturated at quotient size) and the
+   diagnostics replay of a distinguishing formula over a small model. *)
+
+let tau_closure (lts : Lts.t) =
+  (* For each state, the set of states reachable through tau transitions,
+     including itself, as a sorted int list. *)
+  let n = lts.num_states in
+  let closure = Array.make n [] in
+  let scratch = Array.make n false in
+  for s = 0 to n - 1 do
+    let seen = scratch in
+    let stack = ref [ s ] in
+    let acc = ref [] in
+    seen.(s) <- true;
+    while !stack <> [] do
+      match !stack with
+      | [] -> ()
+      | x :: rest ->
+          stack := rest;
+          acc := x :: !acc;
+          for i = lts.row.(x) to lts.row.(x + 1) - 1 do
+            let t = lts.tgt.(i) in
+            if lts.lab.(i) = Lts.tau && not seen.(t) then begin
+              seen.(t) <- true;
+              stack := t :: !stack
+            end
+          done
+    done;
+    List.iter (fun x -> scratch.(x) <- false) !acc;
+    closure.(s) <- List.sort Int.compare !acc
+  done;
+  closure
+
+let saturate_impl (lts : Lts.t) =
+  let n = lts.num_states in
+  let closure = tau_closure lts in
+  let trans = Array.make n [] in
+  let seen = Int_tbl.create 256 in
+  for s = 0 to n - 1 do
+    Int_tbl.reset seen;
+    let add label target =
+      let key = pack_pair label target in
+      if not (Int_tbl.mem seen key) then begin
+        Int_tbl.add seen key ();
+        trans.(s) <- { Lts.label; rate = None; target } :: trans.(s)
+      end
+    in
+    (* s =tau*=> s' gives weak internal moves to everything in closure. *)
+    List.iter (fun s' -> add Lts.tau s') closure.(s);
+    (* s =tau*=> s1 -a-> s2 =tau*=> t gives weak observable moves. *)
+    List.iter
+      (fun s1 ->
+        for i = lts.row.(s1) to lts.row.(s1 + 1) - 1 do
+          let l = lts.lab.(i) in
+          if l <> Lts.tau then
+            List.iter (fun t -> add l t) closure.(lts.tgt.(i))
+        done)
+      closure.(s)
+  done;
+  Lts.make ~init:lts.init ~state_name:lts.state_name trans
+
+let saturate ?(traced = true) lts =
+  if traced then
+    Dpma_obs.Trace.with_span "bisim.saturate"
+      ~attrs:[ ("states", Dpma_obs.Trace.Int lts.Lts.num_states) ] (fun () ->
+        saturate_impl lts)
+  else saturate_impl lts
+
+(* ------------------------------------------------------------------ *)
+(* Interning and cross-round renaming for the branching cache           *)
 
 module Arr_key = struct
   type t = int array
@@ -197,423 +420,6 @@ let remap_pairs rename arr =
     Array.sort Int.compare out;
     Some out
   with Exit -> None
-
-(* Remap every cached entry of [slots] through [rename], interning
-   survivors into the (already reset) [pool]; [memo] dedups the remap
-   work across slots sharing one canonical array. *)
-let advance_slots pool st memo rename slots =
-  Array.iteri
-    (fun i entry ->
-      match entry with
-      | None -> ()
-      | Some arr -> (
-          let remapped =
-            match Arr_tbl.find_opt memo arr with
-            | Some r -> r
-            | None ->
-                let r = remap_pairs rename arr in
-                Arr_tbl.add memo arr r;
-                r
-          in
-          match remapped with
-          | Some r ->
-              slots.(i) <- Some (intern pool st r);
-              st.remaps <- st.remaps + 1
-          | None ->
-              slots.(i) <- None;
-              st.invalidations <- st.invalidations + 1))
-    slots
-
-(* Reusable int scratch for the closure recompute paths: pushes are
-   amortized O(1) into a growable array, and [scratch_flush_sorted]
-   sorts the live prefix, dedups in place, and copies out an
-   exact-length array — replacing a cons-cell list plus [List.sort_uniq]
-   per recompute. The output is the same sorted duplicate-free content,
-   so signatures are bit-identical. *)
-type scratch = { mutable sbuf : int array; mutable slen : int }
-
-let scratch_create () = { sbuf = Array.make 256 0; slen = 0 }
-
-let scratch_push sc x =
-  let n = Array.length sc.sbuf in
-  if sc.slen = n then begin
-    let nb = Array.make (2 * n) 0 in
-    Array.blit sc.sbuf 0 nb 0 n;
-    sc.sbuf <- nb
-  end;
-  sc.sbuf.(sc.slen) <- x;
-  sc.slen <- sc.slen + 1
-
-let scratch_flush_sorted sc =
-  let a = Array.sub sc.sbuf 0 sc.slen in
-  sc.slen <- 0;
-  Array.sort Int.compare a;
-  let n = Array.length a in
-  if n <= 1 then a
-  else begin
-    let k = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(!k - 1) then begin
-        a.(!k) <- a.(i);
-        incr k
-      end
-    done;
-    if !k = n then a else Array.sub a 0 !k
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Weak signatures: per-component C / W caches                          *)
-
-module Weak = struct
-  type t = {
-    lts : Lts.t;
-    cond : condensation;
-    pool : int array Arr_tbl.t;
-    c_set : int array option array;
-    w_set : int array option array;
-    stats : stats;
-  }
-
-  (* A view abstracts where lookups and stores go: the parent cache
-     itself (sequential refinement, coordinator recomputation) or a
-     worker shard layered over a frozen parent (parallel rounds). Each
-     view owns two scratch buffers — one per recompute path, since a
-     [compute_w] in flight triggers nested [compute_c] calls through
-     [ensure_c]; neither function nests with itself. *)
-  type view = {
-    vt : t;
-    get_c : int -> int array option;
-    set_c : int -> int array -> int array;
-    get_w : int -> int array option;
-    set_w : int -> int array -> int array;
-    vstats : stats;
-    sc_c : scratch;
-    sc_w : scratch;
-  }
-
-  let create (lts : Lts.t) =
-    let cond =
-      Dpma_obs.Trace.with_span "bisim.tau.condense"
-        ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
-          condense lts)
-    in
-    {
-      lts;
-      cond;
-      pool = Arr_tbl.create 256;
-      c_set = Array.make (max 1 cond.num_comps) None;
-      w_set = Array.make (max 1 cond.num_comps) None;
-      stats = fresh_stats ();
-    }
-
-  let components t = t.cond.num_comps
-
-  let bytes_peak t = t.stats.bytes_peak
-
-  let compute_c v ~block c =
-    let cond = v.vt.cond in
-    if
-      cond.mem_row.(c + 1) - cond.mem_row.(c) = 1
-      && cond.tau_row.(c + 1) = cond.tau_row.(c)
-    then
-      (* Singleton fast path — the overwhelmingly common shape on
-         tau-thin models, where nearly every component is one state
-         with no condensed tau successors: C is its own block,
-         already sorted and deduped. *)
-      [| block.(cond.members.(cond.mem_row.(c))) |]
-    else begin
-      let sc = v.sc_c in
-      for i = cond.mem_row.(c) to cond.mem_row.(c + 1) - 1 do
-        scratch_push sc block.(cond.members.(i))
-      done;
-      for i = cond.tau_row.(c) to cond.tau_row.(c + 1) - 1 do
-        match v.get_c cond.tau_tgt.(i) with
-        | Some ca -> Array.iter (fun b -> scratch_push sc b) ca
-        | None -> assert false (* dependencies settled by [ensure_c] *)
-      done;
-      scratch_flush_sorted sc
-    end
-
-  (* Iterative (explicit-stack) DFS over the condensed tau DAG — a tau
-     chain can be as deep as the state count, so no native recursion. *)
-  let ensure_c v ~block c0 =
-    (match v.get_c c0 with
-    | Some _ -> ()
-    | None ->
-        let cond = v.vt.cond in
-        let stack = ref [ c0 ] in
-        while !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | c :: rest -> (
-              match v.get_c c with
-              | Some _ -> stack := rest
-              | None ->
-                  let pending = ref [] in
-                  for i = cond.tau_row.(c) to cond.tau_row.(c + 1) - 1 do
-                    let d = cond.tau_tgt.(i) in
-                    match v.get_c d with
-                    | Some _ -> ()
-                    | None -> pending := d :: !pending
-                  done;
-                  if !pending = [] then begin
-                    ignore (v.set_c c (compute_c v ~block c));
-                    stack := rest
-                  end
-                  else stack := List.rev_append !pending !stack)
-        done);
-    match v.get_c c0 with Some a -> a | None -> assert false
-
-  let compute_w v ~block c =
-    let cond = v.vt.cond in
-    let lts = v.vt.lts in
-    let sc = v.sc_w in
-    Array.iter
-      (fun b -> scratch_push sc (pack_pair Lts.tau b))
-      (ensure_c v ~block c);
-    for i = cond.tau_row.(c) to cond.tau_row.(c + 1) - 1 do
-      match v.get_w cond.tau_tgt.(i) with
-      | Some wa -> Array.iter (fun p -> scratch_push sc p) wa
-      | None -> assert false (* dependencies settled by [ensure_w] *)
-    done;
-    for i = cond.mem_row.(c) to cond.mem_row.(c + 1) - 1 do
-      let x = cond.members.(i) in
-      for j = lts.row.(x) to lts.row.(x + 1) - 1 do
-        let l = lts.lab.(j) in
-        if l <> Lts.tau then
-          Array.iter
-            (fun b -> scratch_push sc (pack_pair l b))
-            (ensure_c v ~block cond.comp_of.(lts.tgt.(j)))
-      done
-    done;
-    scratch_flush_sorted sc
-
-  let ensure_w v ~block c0 =
-    (match v.get_w c0 with
-    | Some _ -> ()
-    | None ->
-        let cond = v.vt.cond in
-        let stack = ref [ c0 ] in
-        while !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | c :: rest -> (
-              match v.get_w c with
-              | Some _ -> stack := rest
-              | None ->
-                  let pending = ref [] in
-                  for i = cond.tau_row.(c) to cond.tau_row.(c + 1) - 1 do
-                    let d = cond.tau_tgt.(i) in
-                    match v.get_w d with
-                    | Some _ -> ()
-                    | None -> pending := d :: !pending
-                  done;
-                  if !pending = [] then begin
-                    ignore (v.set_w c (compute_w v ~block c));
-                    stack := rest
-                  end
-                  else stack := List.rev_append !pending !stack)
-        done);
-    match v.get_w c0 with Some a -> a | None -> assert false
-
-  let view_signature v block s =
-    let c = v.vt.cond.comp_of.(s) in
-    match v.get_w c with
-    | Some w ->
-        v.vstats.hits <- v.vstats.hits + 1;
-        w
-    | None -> ensure_w v ~block c
-
-  let parent_view t =
-    {
-      vt = t;
-      get_c = (fun c -> t.c_set.(c));
-      set_c =
-        (fun c a ->
-          let a = intern t.pool t.stats a in
-          t.c_set.(c) <- Some a;
-          t.stats.misses <- t.stats.misses + 1;
-          a);
-      get_w = (fun c -> t.w_set.(c));
-      set_w =
-        (fun c a ->
-          let a = intern t.pool t.stats a in
-          t.w_set.(c) <- Some a;
-          t.stats.misses <- t.stats.misses + 1;
-          a);
-      vstats = t.stats;
-      sc_c = scratch_create ();
-      sc_w = scratch_create ();
-    }
-
-  let signature_fn t =
-    let v = parent_view t in
-    fun block s -> view_signature v block s
-
-  type shard = {
-    sh_parent : t;
-    sh_c : int array Int_tbl.t;
-    sh_w : int array Int_tbl.t;
-    sh_stats : stats;
-  }
-
-  let shard t =
-    { sh_parent = t; sh_c = Int_tbl.create 256; sh_w = Int_tbl.create 256;
-      sh_stats = fresh_stats () }
-
-  (* During a parallel round the parent is frozen (the coordinator is
-     blocked in the pool call), so workers read it lock-free and write
-     only their own shard tables. *)
-  let shard_view sh =
-    let t = sh.sh_parent in
-    {
-      vt = t;
-      get_c =
-        (fun c ->
-          match t.c_set.(c) with
-          | Some _ as r -> r
-          | None -> Int_tbl.find_opt sh.sh_c c);
-      set_c =
-        (fun c a ->
-          Int_tbl.replace sh.sh_c c a;
-          sh.sh_stats.misses <- sh.sh_stats.misses + 1;
-          a);
-      get_w =
-        (fun c ->
-          match t.w_set.(c) with
-          | Some _ as r -> r
-          | None -> Int_tbl.find_opt sh.sh_w c);
-      set_w =
-        (fun c a ->
-          Int_tbl.replace sh.sh_w c a;
-          sh.sh_stats.misses <- sh.sh_stats.misses + 1;
-          a);
-      vstats = sh.sh_stats;
-      sc_c = scratch_create ();
-      sc_w = scratch_create ();
-    }
-
-  let shard_signature_fn sh =
-    let v = shard_view sh in
-    fun block s -> view_signature v block s
-
-  (* Coordinator-side, after all workers joined (Pool's ordered finish):
-     adopt shard entries the parent does not hold yet. Shards may have
-     computed the same component concurrently; the values are
-     content-equal by construction, so first-wins adoption is sound and
-     the interned canonical array is deterministic in content. *)
-  let merge_shard t sh =
-    Int_tbl.iter
-      (fun c a ->
-        match t.c_set.(c) with
-        | Some _ -> ()
-        | None -> t.c_set.(c) <- Some (intern t.pool t.stats a))
-      sh.sh_c;
-    Int_tbl.iter
-      (fun c a ->
-        match t.w_set.(c) with
-        | Some _ -> ()
-        | None -> t.w_set.(c) <- Some (intern t.pool t.stats a))
-      sh.sh_w;
-    t.stats.hits <- t.stats.hits + sh.sh_stats.hits;
-    t.stats.misses <- t.stats.misses + sh.sh_stats.misses
-
-  let advance t ~old_block ~new_block =
-    let rename = renaming ~old_block ~new_block in
-    Arr_tbl.reset t.pool;
-    t.stats.bytes <- 0;
-    let memo = Arr_tbl.create 64 in
-    advance_slots t.pool t.stats memo rename t.c_set;
-    advance_slots t.pool t.stats memo rename t.w_set
-
-  let record t =
-    let module I = Dpma_obs.Instruments in
-    let module M = Dpma_obs.Metrics in
-    M.add I.bisim_tau_cache_hits t.stats.hits;
-    M.add I.bisim_tau_cache_misses t.stats.misses;
-    M.add I.bisim_tau_cache_remaps t.stats.remaps;
-    M.add I.bisim_tau_cache_invalidations t.stats.invalidations;
-    M.set I.bisim_tau_components (float_of_int t.cond.num_comps);
-    M.set I.bisim_tau_closure_bytes (float_of_int t.stats.bytes_peak);
-    t.stats.hits <- 0;
-    t.stats.misses <- 0;
-    t.stats.remaps <- 0;
-    t.stats.invalidations <- 0
-end
-
-(* ------------------------------------------------------------------ *)
-(* Materialized saturation                                              *)
-
-(* The lazy caches above answer signature queries without ever building
-   the double-arrow relation; the functions below build it, for the few
-   places that need actual weak transitions: [Bisim.minimize_weak]'s
-   output (saturated at quotient size) and the diagnostics replay of a
-   distinguishing formula over a small model. *)
-
-let tau_closure (lts : Lts.t) =
-  (* For each state, the set of states reachable through tau transitions,
-     including itself, as a sorted int list. *)
-  let n = lts.num_states in
-  let closure = Array.make n [] in
-  let scratch = Array.make n false in
-  for s = 0 to n - 1 do
-    let seen = scratch in
-    let stack = ref [ s ] in
-    let acc = ref [] in
-    seen.(s) <- true;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | x :: rest ->
-          stack := rest;
-          acc := x :: !acc;
-          for i = lts.row.(x) to lts.row.(x + 1) - 1 do
-            let t = lts.tgt.(i) in
-            if lts.lab.(i) = Lts.tau && not seen.(t) then begin
-              seen.(t) <- true;
-              stack := t :: !stack
-            end
-          done
-    done;
-    List.iter (fun x -> scratch.(x) <- false) !acc;
-    closure.(s) <- List.sort Int.compare !acc
-  done;
-  closure
-
-let saturate_impl (lts : Lts.t) =
-  let n = lts.num_states in
-  let closure = tau_closure lts in
-  let trans = Array.make n [] in
-  let seen = Int_tbl.create 256 in
-  for s = 0 to n - 1 do
-    Int_tbl.reset seen;
-    let add label target =
-      let key = pack_pair label target in
-      if not (Int_tbl.mem seen key) then begin
-        Int_tbl.add seen key ();
-        trans.(s) <- { Lts.label; rate = None; target } :: trans.(s)
-      end
-    in
-    (* s =tau*=> s' gives weak internal moves to everything in closure. *)
-    List.iter (fun s' -> add Lts.tau s') closure.(s);
-    (* s =tau*=> s1 -a-> s2 =tau*=> t gives weak observable moves. *)
-    List.iter
-      (fun s1 ->
-        for i = lts.row.(s1) to lts.row.(s1 + 1) - 1 do
-          let l = lts.lab.(i) in
-          if l <> Lts.tau then
-            List.iter (fun t -> add l t) closure.(lts.tgt.(i))
-        done)
-      closure.(s)
-  done;
-  Lts.make ~init:lts.init ~state_name:lts.state_name trans
-
-let saturate ?(traced = true) lts =
-  if traced then
-    Dpma_obs.Trace.with_span "bisim.saturate"
-      ~attrs:[ ("states", Dpma_obs.Trace.Int lts.Lts.num_states) ] (fun () ->
-        saturate_impl lts)
-  else saturate_impl lts
 
 (* ------------------------------------------------------------------ *)
 (* Branching signatures: per-state cache                                *)

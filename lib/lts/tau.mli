@@ -1,15 +1,15 @@
-(** Tau-SCC condensation and lazy tau-closure caches.
+(** Tau-SCC condensation, the weak closure sweep and the branching
+    signature cache.
 
     This module is the engine behind the on-the-fly weak saturation used
     by {!Bisim}: weak and branching signatures are computed directly on
-    the packed CSR via on-demand tau-reachability over the condensation
-    DAG, memoized per tau-SCC component (weak) or per state (branching),
-    instead of materializing the saturated transition relation. Cached
-    entries are carried across refinement rounds by block renaming and
-    dropped when a block they depend on splits, so peak memory tracks
-    the number of live blocks, not the saturated edge count. The design,
-    the invalidation rule and the memory model are documented in
-    {e docs/WEAK_EQUIVALENCE.md}. *)
+    the packed CSR over the tau-SCC condensation DAG, instead of
+    materializing the saturated transition relation. Weak signatures are
+    recomputed for every component by one sweep per refinement round,
+    into arenas reused across rounds; branching signatures are memoized
+    per state, carried across rounds by block renaming and dropped when
+    a block they depend on splits. The design and the memory model are
+    documented in {e docs/WEAK_EQUIVALENCE.md}. *)
 
 (** {1 Condensation} *)
 
@@ -34,81 +34,42 @@ type condensation = {
     under a ["bisim.tau.condense"] span. Linear in states + edges. *)
 val condense : Lts.t -> condensation
 
-(** {1 Cross-round renaming} *)
+(** {1 Weak signature sweep} *)
 
-(** [renaming ~old_block ~new_block] maps each old block id to its new
-    id when the block did not split this round, or to [-1] when it did.
-    The mapping is injective on unsplit blocks: a refinement key
-    includes the old block, so a new block never spans two old ones. *)
-val renaming : old_block:int array -> new_block:int array -> int array
-
-(** [remap_pairs rename pairs] rewrites the block component of every
-    packed [(label, block)] pair through [rename] and re-sorts, or
-    returns [None] if any mentioned block was split. The result needs no
-    re-deduplication because [rename] is injective on unsplit blocks. *)
-val remap_pairs : int array -> int array -> int array option
-
-(** {1 Weak signature cache} *)
-
-(** Per-component cache of tau-closure block sets and full weak
-    signatures. For any state [s], {!Weak.signature_fn} returns exactly
-    the sorted, deduplicated packed-pair array that
-    [strong_signature (saturate lts) s] would produce — so signature
-    refinement over this cache is round-for-round bit-identical to
-    strong refinement of the materialized saturation. *)
+(** Per-component tau-closure block sets [C] and full weak signatures
+    [W] of one partition, held in flat offset/data arenas. After
+    [sweep t block], {!Weak.signature}[ t s] returns exactly the sorted,
+    deduplicated packed-pair array that
+    [strong_signature (saturate lts) block s] would produce — so signature
+    refinement over the sweep is round-for-round bit-identical to strong
+    refinement of the materialized saturation. *)
 module Weak : sig
   type t
 
-  (** A thread-confined worker view over a frozen parent cache, used by
-      the parallel refinement rounds. *)
-  type shard
-
   (** [create lts] condenses [lts] (under a ["bisim.tau.condense"] span)
-      and returns an empty cache. *)
+      and allocates the arenas; call {!sweep} before reading signatures. *)
   val create : Lts.t -> t
 
-  (** Number of tau-SCC components of the underlying LTS. *)
-  val components : t -> int
+  (** [sweep t block] recomputes [C] and [W] of every component under
+      partition [block]: one ascending pass over the components for [C],
+      a second for [W]. Linear in the condensation plus the output. *)
+  val sweep : t -> int array -> unit
 
-  (** Running peak of bytes interned across all rounds so far. *)
-  val bytes_peak : t -> int
+  (** [signature t s] is the weak signature of [s] under the partition
+      of the last {!sweep}, as a fresh array. Read-only on [t], so pool
+      workers may call it concurrently between sweeps. *)
+  val signature : t -> int -> int array
 
-  (** [signature_fn t] returns the signature function for sequential
-      use: [f block s] is the weak signature of [s] under partition
-      [block], computed on demand and memoized per component. *)
-  val signature_fn : t -> int array -> int -> int array
-
-  (** [shard t] creates a worker-local shard. The parent must stay
-      frozen (no [advance], no sequential lookups) while shards are
-      live. *)
-  val shard : t -> shard
-
-  (** Like {!signature_fn}, but lookups fall back from the frozen
-      parent to the shard's local tables, and computed entries are
-      stored only in the shard. *)
-  val shard_signature_fn : shard -> int array -> int -> int array
-
-  (** [merge_shard t sh] adopts [sh]'s entries into the parent — called
-      from the coordinating domain after all workers joined.
-      Concurrently computed duplicates are content-equal, so first-wins
-      adoption is deterministic in content. *)
-  val merge_shard : t -> shard -> unit
-
-  (** [advance t ~old_block ~new_block] carries the cache across a
-      refinement round: entries whose mentioned blocks all survived are
-      renamed in place; entries touching a split block are dropped and
-      recomputed on demand. *)
-  val advance : t -> old_block:int array -> new_block:int array -> unit
-
-  (** Flush accumulated hit/miss/remap/invalidation counts and peak
-      bytes into the [bisim.tau.*] instruments and reset the counters. *)
+  (** Set [bisim.tau.components] to the component count and
+      [bisim.tau.closure_bytes_peak] to the bytes the arenas hold — their
+      high-water mark, since they only grow. *)
   val record : t -> unit
 end
 
 (** {1 Materialized saturation}
 
-    The caches above never build the double-arrow relation; the
-    functions here do, for the few consumers that need actual weak
+    The weak sweep and the branching cache never build the double-arrow
+    relation; the functions here do, for the few consumers that need actual weak
     transitions rather than signatures. *)
 
 val tau_closure : Lts.t -> int list array
@@ -131,12 +92,30 @@ val saturate : ?traced:bool -> Lts.t -> Lts.t
     one state per weak class) and the small-model closure used by the
     diagnostics replay. *)
 
+(** {1 Cross-round renaming}
+
+    Used by the branching cache to carry its entries across rounds. *)
+
+(** [renaming ~old_block ~new_block] maps each old block id to its new
+    id when the block did not split this round, or to [-1] when it did.
+    The mapping is injective on unsplit blocks: a refinement key
+    includes the old block, so a new block never spans two old ones. *)
+val renaming : old_block:int array -> new_block:int array -> int array
+
+(** [remap_pairs rename pairs] rewrites the block component of every
+    packed [(label, block)] pair through [rename] and re-sorts, or
+    returns [None] if any mentioned block was split. The result needs no
+    re-deduplication because [rename] is injective on unsplit blocks. *)
+val remap_pairs : int array -> int array -> int array option
+
 (** {1 Branching signature cache} *)
 
 (** Per-state cache of branching signatures (the same-block tau closure
-    with inert steps excluded). Unlike the weak cache, validity of an
-    entry additionally requires the state's {e own} block to be unsplit,
-    because the same-block closure can shrink when the block splits. *)
+    with inert steps excluded). An entry stays valid across a round while
+    every block it mentions and the state's {e own} block are unsplit,
+    because the same-block closure can shrink when the block splits.
+    Workers of a parallel round compute into thread-confined shards over
+    the frozen cache, merged back by the coordinator. *)
 module Branching : sig
   type t
 

@@ -174,38 +174,38 @@ let bisim_par_seq_fallbacks =
 
 let bisim_tau_components =
   g ~unit_:"components"
-    ~desc:"tau-SCC components condensed by the last lazy weak refinement"
+    ~desc:"tau-SCC components condensed by the last weak refinement"
     "bisim.tau.components"
 
 let bisim_tau_cache_hits =
   c ~unit_:"lookups"
-    ~desc:"state signature lookups answered from a tau-closure cache"
+    ~desc:"branching signature lookups answered from the per-state cache"
     "bisim.tau.cache_hits"
 
 let bisim_tau_cache_misses =
   c ~unit_:"entries"
-    ~desc:"tau-closure cache entries computed on demand (misses)"
+    ~desc:"branching signatures computed because no cached entry was valid"
     "bisim.tau.cache_misses"
 
 let bisim_tau_cache_remaps =
   c ~unit_:"entries"
     ~desc:
-      "cache entries carried across a refinement round by block renaming \
-       (every block they depend on was unsplit)"
+      "branching cache entries carried across a refinement round by block \
+       renaming (every block they depend on was unsplit)"
     "bisim.tau.cache_remaps"
 
 let bisim_tau_cache_invalidations =
   c ~unit_:"entries"
     ~desc:
-      "cache entries dropped across a refinement round because a block they \
-       depend on split"
+      "branching cache entries dropped across a refinement round because a \
+       block they depend on split"
     "bisim.tau.cache_invalidations"
 
 let bisim_tau_closure_bytes =
   g ~unit_:"bytes"
     ~desc:
-      "peak bytes interned in tau-closure caches by the last lazy \
-       weak/branching refinement"
+      "closure memory of the last weak or branching refinement: weak sweep \
+       arena high-water mark, or peak interned branching payload"
     "bisim.tau.closure_bytes_peak"
 
 (* Noninterference product refiner *)

@@ -159,29 +159,31 @@ val bisim_par_seq_fallbacks : Metrics.counter
 
 val bisim_tau_components : Metrics.gauge
 (** [bisim.tau.components] — tau-SCC components condensed by the last
-    lazy weak refinement (the unit of weak-signature caching). *)
+    weak refinement (the unit of the weak closure sweep). *)
 
 val bisim_tau_cache_hits : Metrics.counter
-(** [bisim.tau.cache_hits] — state signature lookups answered from a
-    tau-closure cache (weak or branching), summed over refinements. *)
+(** [bisim.tau.cache_hits] — branching signature lookups answered from
+    the per-state cache, summed over refinements. The weak pass has no
+    cache and never records it. *)
 
 val bisim_tau_cache_misses : Metrics.counter
-(** [bisim.tau.cache_misses] — tau-closure cache entries computed on
-    demand because no cached entry was valid. *)
+(** [bisim.tau.cache_misses] — branching signatures computed on demand
+    because no cached entry was valid. *)
 
 val bisim_tau_cache_remaps : Metrics.counter
-(** [bisim.tau.cache_remaps] — cache entries carried across a refinement
-    round by block renaming, because every block they depend on was
-    unsplit that round. *)
+(** [bisim.tau.cache_remaps] — branching cache entries carried across a
+    refinement round by block renaming, because every block they depend
+    on was unsplit that round. *)
 
 val bisim_tau_cache_invalidations : Metrics.counter
-(** [bisim.tau.cache_invalidations] — cache entries dropped across a
-    refinement round because a block they depend on split. *)
+(** [bisim.tau.cache_invalidations] — branching cache entries dropped
+    across a refinement round because a block they depend on split. *)
 
 val bisim_tau_closure_bytes : Metrics.gauge
-(** [bisim.tau.closure_bytes_peak] — peak bytes interned in tau-closure
-    caches by the last lazy weak/branching refinement (canonical arrays
-    only; bounded by live blocks, see docs/WEAK_EQUIVALENCE.md). *)
+(** [bisim.tau.closure_bytes_peak] — closure memory of the last weak or
+    branching refinement: the high-water mark of the weak sweep's
+    arenas, or the peak bytes interned by the branching cache (see
+    docs/WEAK_EQUIVALENCE.md). *)
 
 (** {1 Noninterference product refiner (ni)} *)
 

@@ -4,11 +4,12 @@
 module M = Dpma_obs.Metrics
 module I = Dpma_obs.Instruments
 
-type resource = Wall_clock | Resident_memory
+type resource = Wall_clock | Resident_memory | States
 
 let resource_name = function
   | Wall_clock -> "wall_clock"
   | Resident_memory -> "resident_memory"
+  | States -> "states"
 
 type trip = {
   resource : resource;
@@ -83,6 +84,11 @@ let poll ?(partial = fun () -> []) ~phase () =
           if actual > limit then trip Resident_memory limit actual
       | None -> ())
 
+let states_trip ~limit =
+  { resource = States; phase = "state_space"; limit = float_of_int limit;
+    actual = float_of_int (limit + 1);
+    partial = [ ("states", float_of_int limit) ] }
+
 (* --- Degraded verdict rendering -------------------------------------- *)
 
 module Json = Dpma_obs.Json
@@ -105,6 +111,7 @@ let pp_trip ppf t =
     match t.resource with
     | Wall_clock -> Printf.sprintf "%.3g s" v
     | Resident_memory -> Printf.sprintf "%.1f MiB" (v /. 1048576.0)
+    | States -> Printf.sprintf "%.0f states" v
   in
   Format.fprintf ppf "%s guard tripped in %s: %s > limit %s"
     (resource_name t.resource) t.phase (qty t.actual) (qty t.limit);

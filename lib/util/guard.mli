@@ -14,11 +14,17 @@
     Every poll increments [guard.polls]; every violation increments
     [guard.trips] (see docs/OBSERVABILITY.md). *)
 
-type resource = Wall_clock | Resident_memory
+type resource =
+  | Wall_clock
+  | Resident_memory
+  | States
+      (** the state-space bound ([--max-states]): not polled, but raised
+          by the builders as [Lts.Too_many_states] and turned into a trip
+          by {!states_trip} *)
 
 val resource_name : resource -> string
-(** ["wall_clock"] / ["resident_memory"] — the stable identifiers used in
-    the degraded verdict. *)
+(** ["wall_clock"] / ["resident_memory"] / ["states"] — the stable
+    identifiers used in the degraded verdict. *)
 
 type trip = {
   resource : resource;  (** which budget was violated *)
@@ -58,6 +64,12 @@ val poll : ?partial:(unit -> (string * float) list) -> phase:string -> unit -> u
 val resident_bytes : unit -> float
 (** The resident-memory measure guards compare against:
     [Gc.quick_stat] major-heap words in bytes. *)
+
+val states_trip : limit:int -> trip
+(** The trip for a state space that outgrew its bound of [limit] states,
+    so a CLI renders it like any other exhausted budget. The exception
+    does not say which builder raised it, so the phase is
+    ["state_space"]; [actual] is the first state over the bound. *)
 
 val verdict_json : trip -> Dpma_obs.Json.t
 (** The machine-readable degraded verdict (schema [dpma.degraded/1]):

@@ -1,12 +1,13 @@
 (* Differential tests for the on-the-fly weak saturation (lib/lts/tau.ml
-   + the lazy passes in lib/lts/bisim.ml): the lazy tau-closure path must
-   be bit-identical to strong refinement of the materialized saturation —
-   reconstructed here from [Tau.saturate] and the public refinement API,
-   now that the [--saturate] oracle branches are gone — on partitions,
-   minimized LTSs and equivalence verdicts; product verdicts, trails and
-   distinguishing formulas must be identical for any job count; and the
-   cross-round cache advance must never change a signature compared to a
-   cold cache. *)
+   + the weak and branching passes in lib/lts/bisim.ml): the weak sweep
+   must be bit-identical to strong refinement of the materialized
+   saturation — reconstructed here from [Tau.saturate] and the public
+   refinement API — on signatures, partitions, minimized LTSs and
+   equivalence verdicts; product verdicts, trails and distinguishing
+   formulas must be identical for any job count; on tau-free models the
+   weak partition must be the strong one; and the branching cache's
+   cross-round advance must never change a signature compared to a cold
+   cache. *)
 
 module Lts = Dpma_lts.Lts
 module Bisim = Dpma_lts.Bisim
@@ -218,24 +219,87 @@ let test_branching_jobs_identity () =
     (Bisim.branching_partition ~jobs:4 ~par_cutoff:0 lts)
 
 (* ------------------------------------------------------------------ *)
-(* Cache-invalidation property: signatures after [advance] equal
-   signatures computed from scratch against the new partition            *)
+(* Weak sweep against the saturated oracle: after [Tau.Weak.sweep t
+   block], every state's signature must be its strong signature on
+   [Tau.saturate lts] under [block]. One sweep value is reused across
+   the partitions, as refinement reuses it across rounds.               *)
+
+(* The strong signature of [s], packed as refinement packs it. *)
+let strong_signature (lts : Lts.t) block s =
+  let acc = ref [] in
+  for i = lts.Lts.row.(s) to lts.Lts.row.(s + 1) - 1 do
+    acc := ((lts.Lts.lab.(i) lsl 31) lor block.(lts.Lts.tgt.(i))) :: !acc
+  done;
+  Array.of_list (List.sort_uniq Int.compare !acc)
+
+let check_sweep name lts =
+  let n = lts.Lts.num_states in
+  let strong = Bisim.strong_partition lts in
+  let weak = Bisim.weak_partition lts in
+  (* Strong blocks where the strong id is even, weak blocks (shifted past
+     the strong ids) elsewhere: a partition no refinement round yields. *)
+  let mixed =
+    Array.mapi (fun s b -> if b mod 2 = 0 then b else n + weak.(s)) strong
+  in
+  let sat = Tau.saturate ~traced:false lts in
+  let sweep = Tau.Weak.create lts in
+  List.iter
+    (fun (pname, block) ->
+      Tau.Weak.sweep sweep block;
+      for s = 0 to n - 1 do
+        if Tau.Weak.signature sweep s <> strong_signature sat block s then
+          Alcotest.failf "%s, %s partition: weak signature of state %d" name
+            pname s
+      done)
+    [ ("trivial", Array.make n 0); ("strong", strong); ("weak", weak);
+      ("mixed", mixed) ]
+
+(* A generated ring (38 states) with its actions hidden: fully, and with
+   only the stations' [tick] self-loops left observable. Either way the
+   token moves become tau-SCCs joined by condensed tau edges — shapes the
+   paper's models, pre-reduced or not, barely exercise. *)
+let tau_dense_rings =
+  lazy
+    (let archi =
+       QCheck.Gen.generate1 ~rand:(Random.State.make [| 5 |])
+         Test_fuzz.gen_archi
+     in
+     let lts = Lts.of_spec (Elaborate.elaborate archi).Elaborate.spec in
+     [ ("ring, all hidden", Lts.hide_all_but lts ~keep:(fun _ -> false));
+       ( "ring, ticks visible",
+         Lts.hide_all_but lts ~keep:(String.ends_with ~suffix:".tick") ) ])
+
+let test_sweep_vs_saturation () =
+  check_sweep "rpc" (Lazy.force rpc_lts);
+  check_sweep "streaming" (Lazy.force small_streaming_lts);
+  List.iter
+    (fun (name, ring) ->
+      let cond = Tau.condense ring in
+      Alcotest.(check bool) (name ^ ": tau-SCCs and condensed tau edges") true
+        (cond.Tau.num_comps < ring.Lts.num_states
+        && cond.Tau.tau_row.(cond.Tau.num_comps) > 0);
+      check_sweep name ring)
+    (Lazy.force tau_dense_rings)
+
+(* On tau-free models weak and strong bisimilarity coincide, and the
+   weak pass must find the strong partition with the same numbering:
+   the tau-SCC collapse is the identity and the weak refinement of the
+   strong quotient leaves every state in its own block. *)
+let prop_tau_free_weak_is_strong =
+  QCheck.Test.make ~count:30
+    ~name:"fuzz: tau-free weak partition = strong partition"
+    Test_fuzz.arb_archi (fun archi ->
+      let lts = Lts.of_spec (Elaborate.elaborate archi).Elaborate.spec in
+      if Array.exists (fun l -> l = Lts.tau) lts.Lts.lab then
+        QCheck.assume_fail ()
+      else Bisim.weak_partition lts = Bisim.strong_partition lts)
+
+(* ------------------------------------------------------------------ *)
+(* Cache-invalidation property of the branching cache: signatures after
+   [advance] equal signatures computed from scratch against the new
+   partition                                                            *)
 
 let check_advance name lts ~old_block ~new_block =
-  let warm = Tau.Weak.create lts in
-  let warm_sig = Tau.Weak.signature_fn warm in
-  for s = 0 to lts.Lts.num_states - 1 do
-    ignore (warm_sig old_block s)
-  done;
-  Tau.Weak.advance warm ~old_block ~new_block;
-  let cold = Tau.Weak.create lts in
-  let cold_sig = Tau.Weak.signature_fn cold in
-  for s = 0 to lts.Lts.num_states - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: weak signature of state %d" name s)
-      true
-      (warm_sig new_block s = cold_sig new_block s)
-  done;
   let warm_b = Tau.Branching.create lts in
   for s = 0 to lts.Lts.num_states - 1 do
     ignore (Tau.Branching.signature_fn warm_b old_block s)
@@ -279,16 +343,26 @@ let test_renaming_primitive () =
     (Tau.remap_pairs rename [| 0; 1 |] = None)
 
 (* ------------------------------------------------------------------ *)
-(* Instruments: a multi-round lazy refinement reuses remapped entries   *)
+(* Instruments: the branching cache counts its lookups; the weak pass
+   reports its condensation and arena size instead                      *)
 
 let test_cache_counters () =
+  let lts = Lazy.force small_streaming_lts in
   let hits0 = Metrics.count Instruments.bisim_tau_cache_hits in
   let misses0 = Metrics.count Instruments.bisim_tau_cache_misses in
-  ignore (Bisim.weak_partition (Lazy.force small_streaming_lts));
+  ignore (Bisim.branching_partition lts);
   Alcotest.(check bool) "cache hits recorded" true
     (Metrics.count Instruments.bisim_tau_cache_hits > hits0);
   Alcotest.(check bool) "cache misses recorded" true
-    (Metrics.count Instruments.bisim_tau_cache_misses > misses0)
+    (Metrics.count Instruments.bisim_tau_cache_misses > misses0);
+  let hits1 = Metrics.count Instruments.bisim_tau_cache_hits in
+  ignore (Bisim.weak_partition lts);
+  Alcotest.(check int) "weak pass records no cache hits" hits1
+    (Metrics.count Instruments.bisim_tau_cache_hits);
+  Alcotest.(check bool) "components recorded" true
+    (Metrics.value Instruments.bisim_tau_components > 0.0);
+  Alcotest.(check bool) "arena bytes recorded" true
+    (Metrics.value Instruments.bisim_tau_closure_bytes > 0.0)
 
 let suite =
   [
@@ -308,6 +382,9 @@ let suite =
       test_weak_jobs_identity;
     Alcotest.test_case "cached branching jobs-identical" `Quick
       test_branching_jobs_identity;
+    Alcotest.test_case "weak sweep = saturated strong signatures" `Quick
+      test_sweep_vs_saturation;
+    QCheck_alcotest.to_alcotest ~long:false prop_tau_free_weak_is_strong;
     Alcotest.test_case "cache advance = cold recompute" `Quick
       test_cache_invalidation;
     Alcotest.test_case "renaming primitive" `Quick test_renaming_primitive;
