@@ -272,6 +272,22 @@ let cmd_parse =
 
 (* lts *)
 
+(* The --stats rows shared by [dpma lts] and [dpma family]. *)
+let print_build_stats (b : Lts.build_stats) =
+  let mib bytes = float_of_int bytes /. (1024.0 *. 1024.0) in
+  Format.printf "jobs             : %d@." b.Lts.jobs;
+  Format.printf "bfs rounds       : %d@." b.Lts.rounds;
+  Format.printf "peak frontier    : %d states@." b.Lts.peak_frontier;
+  Format.printf "merge time       : %.6f s@." b.Lts.merge_seconds;
+  Format.printf "segments         : %d@." b.Lts.segments;
+  Format.printf "peak segment mem : %d bytes (%.1f MiB)@."
+    b.Lts.segment_bytes_peak (mib b.Lts.segment_bytes_peak);
+  if b.Lts.spilled_segments > 0 then
+    Format.printf "spilled          : %d segments (%.1f MiB, %.3f s)@."
+      b.Lts.spilled_segments (mib b.Lts.spilled_bytes)
+      b.Lts.spill_write_seconds;
+  Format.printf "build time       : %.6f s@." b.Lts.build_seconds
+
 let cmd_lts =
   let run file max_states verbose dot stats jobs () =
     apply_jobs jobs;
@@ -282,20 +298,7 @@ let cmd_lts =
         if stats then begin
           Format.printf "states           : %d@." lts.Lts.num_states;
           Format.printf "transitions      : %d@." (Lts.num_transitions lts);
-          Format.printf "jobs             : %d@." build.Lts.jobs;
-          Format.printf "bfs rounds       : %d@." build.Lts.rounds;
-          Format.printf "peak frontier    : %d states@." build.Lts.peak_frontier;
-          Format.printf "merge time       : %.6f s@." build.Lts.merge_seconds;
-          Format.printf "segments         : %d@." build.Lts.segments;
-          Format.printf "peak segment mem : %d bytes (%.1f MiB)@."
-            build.Lts.segment_bytes_peak
-            (float_of_int build.Lts.segment_bytes_peak /. (1024.0 *. 1024.0));
-          if build.Lts.spilled_segments > 0 then
-            Format.printf "spilled          : %d segments (%.1f MiB, %.3f s)@."
-              build.Lts.spilled_segments
-              (float_of_int build.Lts.spilled_bytes /. (1024.0 *. 1024.0))
-              build.Lts.spill_write_seconds;
-          Format.printf "build time       : %.6f s@." build.Lts.build_seconds
+          print_build_stats build
         end;
         (match Lts.deadlock_states lts with
         | [] -> Format.printf "deadlock free@."
@@ -730,15 +733,12 @@ let cmd_family =
         Format.printf
           "featured union: %d states, %d transitions, %d distinct guards@."
           flts.Flts.num_states (Flts.num_transitions flts)
-          stats.Flts.guard_count;
+          (Flts.Guard.count flts.Flts.guards);
         if stats_flag then begin
-          Format.printf "jobs             : %d@." stats.Flts.jobs;
-          Format.printf "bfs rounds       : %d@." stats.Flts.rounds;
-          Format.printf "peak frontier    : %d states@." stats.Flts.peak_frontier;
-          Format.printf "merge time       : %.6f s@." stats.Flts.merge_seconds;
-          Format.printf "build time       : %.6f s@." stats.Flts.build_seconds;
+          print_build_stats stats;
           Format.printf "guard table      : %d guards, %d words@."
-            stats.Flts.guard_count stats.Flts.guard_words
+            (Flts.Guard.count flts.Flts.guards)
+            (Flts.Guard.table_words flts.Flts.guards)
         end;
         let ltss = Flts.project_all ?jobs flts in
         let summed =

@@ -4,12 +4,12 @@
     A family is an array of specifications (see [Dpma_pa.Feature]) that
     differ in a few constant definitions — DPM timeout values, awake
     periods, buffer bounds. {!build_family} explores the {e union} state
-    space once with the level-synchronous parallel BFS discipline of
-    {!Lts.build}: states are numbered in frontier-merge order, so the
-    featured system — states, edge order, and guards — is bit-identical
-    for any job count. Each transition carries an interned {e feature
-    guard}: the sorted set of configuration indices under which the
-    transition exists from that state.
+    space once with the level-synchronous parallel BFS of {!Lts.build}
+    (the same {!Lts.bfs} loop): states are numbered in frontier-merge
+    order, so the featured system — states, edge order, and guards — is
+    bit-identical for any job count. Each transition carries an interned
+    {e feature guard}: the sorted set of configuration indices under which
+    the transition exists from that state.
 
     {!project} slices one configuration's LTS back out of the shared CSR
     without re-deriving anything: a FIFO traversal from that
@@ -95,20 +95,7 @@ type t = private {
   rate_prio : int array;
   guard : int array;  (** interned guard id per edge *)
   guards : Guard.table;
-  terms : Dpma_pa.Term.t array;  (** the state terms, by union id *)
-}
-
-type family_stats = {
-  jobs : int;
-  rounds : int;  (** level-synchronous BFS rounds *)
-  peak_frontier : int;
-  merge_seconds : float;
-  build_seconds : float;
-  guard_count : int;  (** distinct interned guards *)
-  guard_words : int;  (** total bitset payload words in the guard table *)
-  spilled_segments : int;  (** full segments spilled to the temp file *)
-  spilled_bytes : int;
-  spill_write_seconds : float;
+  term : int -> Dpma_pa.Term.t;  (** the state term of a union id *)
 }
 
 val build_family :
@@ -119,15 +106,15 @@ val build_family :
   ?max_resident_bytes:int ->
   ?seg_bits:int ->
   Dpma_pa.Term.spec array ->
-  t * family_stats
-(** Explore the union state space of the family once. Parameters mirror
+  t * Lts.build_stats
+(** Explore the union state space of the family once, through the
+    {!Lts.bfs} loop of {!Lts.build} with the featured derivation and a
+    guard-id edge column. Parameters mean what they mean for
     {!Lts.build} ([max_states], default 500_000, bounds the {e union}
-    state count; raises {!Lts.Too_many_states} beyond it;
-    [spill_dir]/[max_resident_bytes]/[seg_bits] configure the same
-    spill-capable {!Segstore} policy, covering the edge and row-offset
-    columns of the union build). Deterministic for any
-    [jobs]/[par_threshold], spilling included. Polls the ambient
-    {!Dpma_util.Guard} between BFS rounds (phase ["family.build"]).
+    state count), and so do the returned statistics. Deterministic for
+    any [jobs]/[par_threshold], spilling included. Polls the ambient
+    {!Dpma_util.Guard} between BFS rounds (phase ["family.build"]);
+    guard counts are on [guards] ({!Guard.count}, {!Guard.table_words}).
     Raises [Invalid_argument] on an empty family. *)
 
 val of_specs :

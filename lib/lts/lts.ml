@@ -3,6 +3,8 @@ module Semantics = Dpma_pa.Semantics
 module Label = Dpma_pa.Label
 module Pool = Dpma_util.Pool
 module Int_tbl = Hashtbl.Make (Int)
+module I = Dpma_obs.Instruments
+module M = Dpma_obs.Metrics
 
 type label = Label.t
 
@@ -41,6 +43,20 @@ type t = {
 
 exception Too_many_states of int
 
+(* Packed rate encoding, shared by [pack] and the builder's edge store. *)
+let store_rate ~kind ~prio ~value i (rate : Dpma_pa.Rate.t) =
+  match rate with
+  | Exp lambda ->
+      kind.(i) <- 1;
+      value.(i) <- lambda
+  | Imm { prio = p; weight } ->
+      kind.(i) <- 2;
+      value.(i) <- weight;
+      prio.(i) <- p
+  | Passive { weight } ->
+      kind.(i) <- 3;
+      value.(i) <- weight
+
 let pack ~init ~state_name (trans : transition list array) =
   let n = Array.length trans in
   let m = Array.fold_left (fun acc l -> acc + List.length l) 0 trans in
@@ -58,18 +74,9 @@ let pack ~init ~state_name (trans : transition list array) =
         let i = !e in
         lab.(i) <- tr.label;
         tgt.(i) <- tr.target;
-        (match tr.rate with
-        | None -> ()
-        | Some (Dpma_pa.Rate.Exp lambda) ->
-            rate_kind.(i) <- 1;
-            rate_val.(i) <- lambda
-        | Some (Dpma_pa.Rate.Imm { prio; weight }) ->
-            rate_kind.(i) <- 2;
-            rate_val.(i) <- weight;
-            rate_prio.(i) <- prio
-        | Some (Dpma_pa.Rate.Passive { weight }) ->
-            rate_kind.(i) <- 3;
-            rate_val.(i) <- weight);
+        Option.iter
+          (store_rate ~kind:rate_kind ~prio:rate_prio ~value:rate_val i)
+          tr.rate;
         incr e)
       trans.(s)
   done;
@@ -80,8 +87,7 @@ let pack ~init ~state_name (trans : transition list array) =
 let make ~init ~state_name trans =
   let t0 = Dpma_obs.Clock.now_s () in
   let lts = pack ~init ~state_name trans in
-  Dpma_obs.Metrics.observe Dpma_obs.Instruments.lts_csr_pack_seconds
-    (Dpma_obs.Clock.now_s () -. t0);
+  M.observe I.lts_csr_pack_seconds (Dpma_obs.Clock.now_s () -. t0);
   lts
 
 let rate_of lts i =
@@ -110,10 +116,10 @@ let out_degree lts s = lts.row.(s + 1) - lts.row.(s)
    fixed-size segments instead of contiguous grow-by-doubling arrays: no
    O(n) copy spikes while exploring, and peak memory is (data + one
    segment) instead of (data + a 2x copy) right at the growth points.
-   Edge and row segments live in a {!Segstore} (shared with the featured
-   builder), which can spill full segments to a memory-mapped temp file
-   under a resident-byte budget; term segments stay resident here — the
-   frontier and the lazy [state_name] closure read them at random. *)
+   Edge and row segments live in a {!Segstore}, which can spill full
+   segments to a memory-mapped temp file under a resident-byte budget;
+   term segments stay resident here — the frontier and the lazy
+   [state_name] closure read them at random. *)
 
 let seg_bits = 16
 
@@ -164,6 +170,14 @@ type build_stats = {
   build_seconds : float;
 }
 
+type bfs = {
+  roots : int array;
+  csr : t;
+  term : int -> Term.t;
+  guard : int array;
+  stats : build_stats;
+}
+
 (* Below this frontier size a parallel round costs more in domain traffic
    (spawn + join is a couple of milliseconds per round) than it saves;
    derive in the coordinating domain instead. The cutoff scales with the
@@ -174,10 +188,9 @@ type build_stats = {
 let par_round_threshold ~jobs =
   if Pool.hardware_parallelism () <= 1 then max_int else 256 * jobs
 
-let build ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
-    ?max_resident_bytes ?seg_bits:store_seg_bits (spec : Term.spec) =
-  Dpma_obs.Trace.with_span "lts.build" (fun () ->
-  let t0 = Dpma_obs.Clock.now_s () in
+let bfs ~phase ?(partial = []) ~t0 ~max_states ?jobs ?par_threshold
+    ?spill_dir ?max_resident_bytes ?seg_bits:store_seg_bits ~guarded ~roots
+    ~shard ~derive_in ~finish ~emit () =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in
@@ -186,7 +199,6 @@ let build ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
     | Some t -> max 0 t
     | None -> par_round_threshold ~jobs
   in
-  let engine = Semantics.make spec.defs in
   (* Hash-consed terms: the state table is keyed by unique id. *)
   let table : int Int_tbl.t = Int_tbl.create 1024 in
   let terms = term_store () in
@@ -196,29 +208,9 @@ let build ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
   (* The spill temp file must be gone on every exit — normal completion,
      Too_many_states, and a tripped resource guard alike. *)
   Fun.protect ~finally:(fun () -> Segstore.finish pol) @@ fun () ->
-  let edges = Segstore.create pol ~int_cols:4 ~float_col:true in
+  let int_cols = if guarded then 5 else 4 in
+  let edges = Segstore.create pol ~int_cols ~float_col:true in
   let rows = Segstore.create pol ~int_cols:1 ~float_col:false in
-  let push_edge lab tgt (rate : Dpma_pa.Rate.t) =
-    let seg, o = Segstore.push_slot edges in
-    let ints = seg.Segstore.ints in
-    ints.(0).(o) <- lab;
-    ints.(1).(o) <- tgt;
-    match rate with
-    | Dpma_pa.Rate.Exp lambda ->
-        ints.(2).(o) <- 1;
-        seg.Segstore.floats.(o) <- lambda
-    | Dpma_pa.Rate.Imm { prio; weight } ->
-        ints.(2).(o) <- 2;
-        ints.(3).(o) <- prio;
-        seg.Segstore.floats.(o) <- weight
-    | Dpma_pa.Rate.Passive { weight } ->
-        ints.(2).(o) <- 3;
-        seg.Segstore.floats.(o) <- weight
-  in
-  let push_row v =
-    let seg, o = Segstore.push_slot rows in
-    seg.Segstore.ints.(0).(o) <- v
-  in
   let count = ref 0 in
   let id_of (term : Term.t) =
     match Int_tbl.find_opt table term.Term.uid with
@@ -231,24 +223,38 @@ let build ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
         push_term terms term;
         id
   in
-  let init = id_of spec.init in
-  let module I = Dpma_obs.Instruments in
-  let module M = Dpma_obs.Metrics in
+  let push_edge lab k rate g =
+    let tgt = id_of k in
+    let seg, o = Segstore.push_slot edges in
+    let ints = seg.Segstore.ints in
+    ints.(0).(o) <- lab;
+    ints.(1).(o) <- tgt;
+    if guarded then ints.(4).(o) <- g;
+    store_rate ~kind:ints.(2) ~prio:ints.(3) ~value:seg.Segstore.floats o rate
+  in
+  let push_row v =
+    let seg, o = Segstore.push_slot rows in
+    seg.Segstore.ints.(0).(o) <- v
+  in
+  (* Seed every root; hash-consing deduplicates equal roots in order. *)
+  let roots = Array.map id_of roots in
   let rounds = ref 0 and peak_frontier = ref 0 and merge_s = ref 0.0 in
   (* States are numbered in merge order, so the frontier of a round is
      always a contiguous id range: the states appended by the previous
      round. Workers derive successors of frontier slices into private
      buffers (with private SOS memo shards); the coordinator then merges
      the slices in frontier order, which pins state numbering and edge
-     order to the sequential ones for any job count. *)
+     order (and guard interning order) to the sequential ones for any job
+     count. *)
   let partial () =
-    [ ("states", float_of_int !count);
-      ("transitions", float_of_int (Segstore.total edges));
-      ("rounds", float_of_int !rounds) ]
+    partial
+    @ [ ("states", float_of_int !count);
+        ("transitions", float_of_int (Segstore.total edges));
+        ("rounds", float_of_int !rounds) ]
   in
   let lo = ref 0 in
   while !lo < !count do
-    Dpma_util.Guard.poll ~partial ~phase:"lts.build" ();
+    Dpma_util.Guard.poll ~partial ~phase ();
     let hi = !count in
     incr rounds;
     let fsize = hi - !lo in
@@ -256,34 +262,22 @@ let build ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
     M.observe I.lts_par_frontier (float_of_int fsize);
     let base = !lo in
     let frontier = Array.init fsize (fun i -> get_term terms (base + i)) in
-    let record_and_merge sh =
-      let s = Semantics.shard_stats sh in
-      M.observe I.lts_par_derives_per_worker
-        (float_of_int (s.Semantics.hits + s.Semantics.misses));
-      Semantics.merge_shard sh
-    in
     let derived =
       if jobs = 1 || fsize < par_threshold then begin
-        let sh = Semantics.shard engine in
-        let out = Array.make fsize [] in
-        for i = 0 to fsize - 1 do
-          out.(i) <- Semantics.derive_in sh frontier.(i)
-        done;
-        record_and_merge sh;
+        let sh = shard () in
+        let out = Array.map (derive_in sh) frontier in
+        finish sh;
         out
       end
       else
         Pool.map_chunks_ordered ~jobs
           ~chunk:(Pool.recommended_chunk ~n:fsize ~jobs)
-          ~init:(fun () -> Semantics.shard engine)
-          ~f:Semantics.derive_in ~finish:record_and_merge frontier
+          ~init:shard ~f:derive_in ~finish frontier
     in
     let tm = Dpma_obs.Clock.now_s () in
     for i = 0 to fsize - 1 do
       push_row (Segstore.total edges);
-      List.iter
-        (fun (label, rate, k) -> push_edge label (id_of k) rate)
-        derived.(i)
+      emit derived.(i) push_edge
     done;
     merge_s := !merge_s +. (Dpma_obs.Clock.now_s () -. tm);
     lo := hi
@@ -301,18 +295,13 @@ let build ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
   let rate_kind = Array.make nedges 0 in
   let rate_val = Array.make nedges 0.0 in
   let rate_prio = Array.make nedges 0 in
+  let guard = if guarded then Array.make nedges 0 else [||] in
   Segstore.compact_into edges
-    ~ints:[| lab; tgt; rate_kind; rate_prio |]
+    ~ints:
+      (if guarded then [| lab; tgt; rate_kind; rate_prio; guard |]
+       else [| lab; tgt; rate_kind; rate_prio |])
     ~floats:[| rate_val |] ~n:nedges;
   M.observe I.lts_csr_pack_seconds (Dpma_obs.Clock.now_s () -. t_pack);
-  M.incr I.lts_builds;
-  M.add I.lts_states n;
-  M.add I.lts_transitions nedges;
-  let stats = Semantics.stats engine in
-  M.add I.sos_memo_hits stats.Semantics.hits;
-  M.add I.sos_memo_misses stats.Semantics.misses;
-  M.set I.pa_terms (float_of_int (Term.hashcons_count ()));
-  M.set I.pa_labels (float_of_int (Label.count ()));
   M.add I.lts_par_rounds !rounds;
   M.observe I.lts_par_merge_seconds !merge_s;
   let segments = Segstore.nsegs edges + Segstore.nsegs rows + terms.t_nsegs in
@@ -325,21 +314,59 @@ let build ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
   M.add I.lts_par_segments segments;
   M.set I.lts_par_segment_bytes (float_of_int segment_bytes_peak);
   Segstore.record_metrics pol;
+  (* Cut the last term segment to its used length (there is one: every
+     build has a root). The store outlives the build (state names, family
+     projections), and a small build must not pin a whole segment. *)
+  let last = terms.t_nsegs - 1 in
+  terms.t_segs.(last) <-
+    Array.sub terms.t_segs.(last) 0 (n - (last lsl seg_bits));
+  let term = get_term terms in
   (* State names are rendered lazily: they are only needed in diagnostics. *)
-  let lts =
-    { init; num_states = n;
-      state_name = (fun i -> Term.to_string (get_term terms i));
+  let csr =
+    { init = roots.(0); num_states = n;
+      state_name = (fun i -> Term.to_string (term i));
       row; lab; tgt; rate_kind; rate_val; rate_prio }
   in
-  let build_seconds = Dpma_obs.Clock.now_s () -. t0 in
-  M.observe I.lts_build_seconds build_seconds;
-  ( lts,
-    { jobs; rounds = !rounds; peak_frontier = !peak_frontier;
-      merge_seconds = !merge_s; segments; segment_bytes_peak;
-      spilled_segments = sp.Segstore.spilled_segments;
-      spilled_bytes = sp.Segstore.spilled_bytes;
-      spill_write_seconds = sp.Segstore.spill_write_seconds;
-      build_seconds } ))
+  { roots; csr; term; guard;
+    stats =
+      { jobs; rounds = !rounds; peak_frontier = !peak_frontier;
+        merge_seconds = !merge_s; segments; segment_bytes_peak;
+        spilled_segments = sp.Segstore.spilled_segments;
+        spilled_bytes = sp.Segstore.spilled_bytes;
+        spill_write_seconds = sp.Segstore.spill_write_seconds;
+        build_seconds = Dpma_obs.Clock.now_s () -. t0 } }
+
+let build ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
+    ?max_resident_bytes ?seg_bits (spec : Term.spec) =
+  Dpma_obs.Trace.with_span "lts.build" (fun () ->
+  let t0 = Dpma_obs.Clock.now_s () in
+  let engine = Semantics.make spec.defs in
+  let finish sh =
+    let s = Semantics.shard_stats sh in
+    M.observe I.lts_par_derives_per_worker
+      (float_of_int (s.Semantics.hits + s.Semantics.misses));
+    Semantics.merge_shard sh
+  in
+  let b =
+    bfs ~phase:"lts.build" ~t0 ~max_states ?jobs ?par_threshold ?spill_dir
+      ?max_resident_bytes ?seg_bits ~guarded:false ~roots:[| spec.init |]
+      ~shard:(fun () -> Semantics.shard engine)
+      ~derive_in:Semantics.derive_in ~finish
+      ~emit:(fun steps push ->
+        List.iter (fun (label, rate, k) -> push label k rate 0) steps)
+      ()
+  in
+  let lts = b.csr in
+  M.incr I.lts_builds;
+  M.add I.lts_states lts.num_states;
+  M.add I.lts_transitions (Array.length lts.lab);
+  let stats = Semantics.stats engine in
+  M.add I.sos_memo_hits stats.Semantics.hits;
+  M.add I.sos_memo_misses stats.Semantics.misses;
+  M.set I.pa_terms (float_of_int (Term.hashcons_count ()));
+  M.set I.pa_labels (float_of_int (Label.count ()));
+  M.observe I.lts_build_seconds b.stats.build_seconds;
+  (lts, b.stats))
 
 let of_spec ?max_states ?jobs ?par_threshold ?spill_dir ?max_resident_bytes
     ?seg_bits spec =

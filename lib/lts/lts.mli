@@ -86,6 +86,49 @@ type build_stats = {
   build_seconds : float;  (** wall-clock time of the whole build *)
 }
 
+type bfs = {
+  roots : int array;  (** the state id of each root term, in order *)
+  csr : t;  (** the packed system; its [init] is [roots.(0)] *)
+  term : int -> Dpma_pa.Term.t;  (** the state term of a state id *)
+  guard : int array;
+      (** the guard-id column, one per edge ([[||]] unless [guarded]) *)
+  stats : build_stats;
+}
+
+val bfs :
+  phase:string ->
+  ?partial:(string * float) list ->
+  t0:float ->
+  max_states:int ->
+  ?jobs:int ->
+  ?par_threshold:int ->
+  ?spill_dir:string ->
+  ?max_resident_bytes:int ->
+  ?seg_bits:int ->
+  guarded:bool ->
+  roots:Dpma_pa.Term.t array ->
+  shard:(unit -> 'sh) ->
+  derive_in:('sh -> Dpma_pa.Term.t -> 'out) ->
+  finish:('sh -> unit) ->
+  emit:
+    ('out -> (label -> Dpma_pa.Term.t -> Dpma_pa.Rate.t -> int -> unit) ->
+     unit) ->
+  unit ->
+  bfs
+(** The level-synchronous breadth-first exploration behind {!build} and
+    [Flts.build_family], parameterized by the derivation and the edge
+    payload. Each round derives the frontier through [shard]/[derive_in]
+    (one shard per worker, [finish]ed in worker order after the round),
+    then [emit]s every state's derivation, in frontier order, to the
+    edge sink [push label target rate guard]; [guard] is stored only
+    when [guarded] (a fifth int column). The loop owns the state table
+    ([max_states]), the segmented term store, the {!Dpma_util.Guard}
+    poll (under [phase], reporting [partial] before its own progress
+    fields), the [jobs]/[par_threshold] defaults and the {!Segstore}
+    policy — see {!build} for all of these — plus compaction and the
+    [lts.par.*]/[lts.csr_pack.seconds] instruments.
+    [stats.build_seconds] counts from [t0]. *)
+
 val build :
   ?max_states:int ->
   ?jobs:int ->

@@ -1,5 +1,5 @@
-(** Spill-capable chunked segment storage, shared by {!Lts.build} and
-    {!Flts.build_family}.
+(** Spill-capable chunked segment storage of the {!Lts.bfs} state-space
+    builder.
 
     A store holds parallel columns (a fixed number of int columns and
     optionally one float column) growing in fixed-size segments: no O(n)
@@ -14,7 +14,7 @@
     are bit-identical whether or not spill triggered.
 
     Single-writer: stores are only pushed and compacted from the
-    coordinating domain of the level-synchronous builders. *)
+    coordinating domain of the level-synchronous builder. *)
 
 (** {1 Policy: one per build} *)
 
@@ -52,7 +52,7 @@ type stats = {
 val stats : policy -> stats
 
 val finish : policy -> unit
-(** Close and delete the spill temp file (idempotent). The builders call
+(** Close and delete the spill temp file (idempotent). The builder calls
     this from a [Fun.protect] finalizer, so the file is removed on
     success and on abort — including a tripped resource guard. *)
 

@@ -50,17 +50,21 @@ let sos_memo_misses =
 
 (* State space *)
 
-let lts_builds = c ~unit_:"builds" ~desc:"LTS constructions" "lts.builds"
+let lts_builds =
+  c ~unit_:"builds" ~desc:"plain LTS constructions from a specification"
+    "lts.builds"
 
 let lts_states =
-  c ~unit_:"states" ~desc:"states explored, summed over builds" "lts.states"
+  c ~unit_:"states" ~desc:"states explored by plain builds, summed over builds"
+    "lts.states"
 
 let lts_transitions =
-  c ~unit_:"transitions" ~desc:"transitions derived, summed over builds"
+  c ~unit_:"transitions"
+    ~desc:"transitions derived by plain builds, summed over builds"
     "lts.transitions"
 
 let lts_build_seconds =
-  h ~unit_:"seconds" ~desc:"wall-clock time of each LTS construction"
+  h ~unit_:"seconds" ~desc:"wall-clock time of each plain LTS construction"
     "lts.build.seconds"
 
 let lts_csr_pack_seconds =
@@ -71,7 +75,8 @@ let lts_csr_pack_seconds =
 (* Level-synchronous parallel builder *)
 
 let lts_par_rounds =
-  c ~unit_:"rounds" ~desc:"level-synchronous BFS rounds, summed over builds"
+  c ~unit_:"rounds"
+    ~desc:"level-synchronous BFS rounds, summed over plain and featured builds"
     "lts.par.rounds"
 
 let lts_par_frontier =
@@ -85,17 +90,19 @@ let lts_par_derives_per_worker =
 
 let lts_par_merge_seconds =
   h ~unit_:"seconds"
-    ~desc:"wall-clock time each build spent merging worker slices in \
-           frontier order"
+    ~desc:"wall-clock time each build, plain or featured, spent merging \
+           worker slices in frontier order"
     "lts.par.merge.seconds"
 
 let lts_par_segments =
-  c ~unit_:"segments" ~desc:"storage segments allocated, summed over builds"
+  c ~unit_:"segments"
+    ~desc:"storage segments allocated, summed over plain and featured builds"
     "lts.par.segments"
 
 let lts_par_segment_bytes =
   g ~unit_:"bytes"
-    ~desc:"peak bytes held in chunked segments by the last build"
+    ~desc:"peak bytes held in chunked segments by the last build, plain or \
+           featured"
     "lts.par.segment_bytes_peak"
 
 (* Spill-to-disk segment store *)

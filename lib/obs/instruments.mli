@@ -56,48 +56,52 @@ val sos_memo_misses : Metrics.counter
 (** {1 State space (lts)} *)
 
 val lts_builds : Metrics.counter
-(** [lts.builds] — LTS constructions run. *)
+(** [lts.builds] — plain LTS constructions run ([Lts.build]). *)
 
 val lts_states : Metrics.counter
-(** [lts.states] — states explored, summed over builds. *)
+(** [lts.states] — states explored by plain builds, summed over builds. *)
 
 val lts_transitions : Metrics.counter
-(** [lts.transitions] — transitions derived, summed over builds. *)
+(** [lts.transitions] — transitions derived by plain builds, summed over
+    builds. *)
 
 val lts_build_seconds : Metrics.histogram
-(** [lts.build.seconds] — wall-clock time of each LTS construction. *)
+(** [lts.build.seconds] — wall-clock time of each plain LTS construction. *)
 
 val lts_csr_pack_seconds : Metrics.histogram
 (** [lts.csr_pack.seconds] — wall-clock time spent packing each LTS into
-    its CSR (compressed sparse row) arrays, included in
-    [lts.build.seconds] for builds from a specification. *)
+    its CSR (compressed sparse row) arrays; the shared builder records it
+    for plain and featured builds alike. *)
 
 val lts_par_rounds : Metrics.counter
 (** [lts.par.rounds] — level-synchronous BFS rounds (frontier expansions),
-    summed over builds; the BFS depth of a single build. *)
+    summed over plain and featured builds; the BFS depth of a single
+    build. *)
 
 val lts_par_frontier : Metrics.histogram
 (** [lts.par.frontier] — frontier size (states expanded) at each BFS
-    level. *)
+    level, plain and featured builds. *)
 
 val lts_par_derives_per_worker : Metrics.histogram
 (** [lts.par.derives_per_worker] — SOS derivations (memo hits + misses)
     performed by each worker of each parallel round (balance indicator for
-    the chunked frontier dealing; sequential rounds record one sample). *)
+    the chunked frontier dealing; sequential rounds record one sample).
+    Plain builds only. *)
 
 val lts_par_merge_seconds : Metrics.histogram
-(** [lts.par.merge.seconds] — wall-clock time each build spent merging
-    worker-derived successor slices in frontier order (the sequential
-    portion that pins state numbering), summed per build. *)
+(** [lts.par.merge.seconds] — wall-clock time each build, plain or
+    featured, spent merging worker-derived successor slices in frontier
+    order (the sequential portion that pins state numbering), summed per
+    build. *)
 
 val lts_par_segments : Metrics.counter
 (** [lts.par.segments] — fixed-size storage segments (edge, row, and term
-    chunks) allocated by builds, summed over builds. *)
+    chunks) allocated by plain and featured builds, summed over builds. *)
 
 val lts_par_segment_bytes : Metrics.gauge
 (** [lts.par.segment_bytes_peak] — peak bytes held in chunked segment
-    storage by the last build, before compaction into CSR (resident
-    segments only: spilled segments leave this figure). *)
+    storage by the last build, plain or featured, before compaction into
+    CSR (resident segments only: spilled segments leave this figure). *)
 
 val lts_spill_segments : Metrics.counter
 (** [lts.spill.segments] — full edge/row segments spilled to

@@ -33,6 +33,22 @@ let check_lts_identical name (a : Lts.t) (b : Lts.t) =
         (b.Lts.state_name s)
   done
 
+(* A one-member family is the plain build plus an all-true guard column. *)
+let check_one_member name (fam : Flts.t) (lts : Lts.t) =
+  Alcotest.(check int) (name ^ ": num_states") lts.Lts.num_states
+    fam.Flts.num_states;
+  let arr what x y = Alcotest.(check (array int)) (name ^ ": " ^ what) x y in
+  arr "init" [| lts.Lts.init |] fam.Flts.init;
+  arr "row" lts.Lts.row fam.Flts.row;
+  arr "lab" lts.Lts.lab fam.Flts.lab;
+  arr "tgt" lts.Lts.tgt fam.Flts.tgt;
+  arr "rate_kind" lts.Lts.rate_kind fam.Flts.rate_kind;
+  arr "rate_prio" lts.Lts.rate_prio fam.Flts.rate_prio;
+  Alcotest.(check (array (float 0.0)))
+    (name ^ ": rate_val") lts.Lts.rate_val fam.Flts.rate_val;
+  arr "guard" (Array.make (Array.length lts.Lts.lab) Flts.Guard.all)
+    fam.Flts.guard
+
 let check_ctmc_identical name (a : Ctmc.t) (b : Ctmc.t) =
   Alcotest.(check int) (name ^ ": tangible") a.Ctmc.n b.Ctmc.n;
   Alcotest.(check bool)
@@ -102,7 +118,7 @@ let test_sharing () =
   (* The point of the featured build: the union is much smaller than the
      sum of the members. *)
   let specs = rpc_specs () in
-  let fam, stats = Flts.build_family specs in
+  let fam = Flts.of_specs specs in
   let sum =
     Array.fold_left
       (fun acc spec -> acc + (Lts.of_spec spec).Lts.num_states)
@@ -110,7 +126,8 @@ let test_sharing () =
   in
   if fam.Flts.num_states * 2 >= sum then
     Alcotest.failf "no sharing: union %d vs summed %d" fam.Flts.num_states sum;
-  Alcotest.(check bool) "some guards" true (stats.Flts.guard_count > 1)
+  Alcotest.(check bool) "some guards" true
+    (Flts.Guard.count fam.Flts.guards > 1)
 
 let test_jobs_identity () =
   let specs = streaming_specs () in
@@ -119,7 +136,7 @@ let test_jobs_identity () =
     (fun jobs ->
       let fam, stats = Flts.build_family ~jobs ~par_threshold:1 specs in
       let name = Printf.sprintf "jobs %d" jobs in
-      Alcotest.(check int) (name ^ ": jobs used") jobs stats.Flts.jobs;
+      Alcotest.(check int) (name ^ ": jobs used") jobs stats.Lts.jobs;
       Alcotest.(check int)
         (name ^ ": states") reference.Flts.num_states fam.Flts.num_states;
       Alcotest.(check (array int)) (name ^ ": row") reference.Flts.row fam.Flts.row;
@@ -129,7 +146,19 @@ let test_jobs_identity () =
         (name ^ ": guard") reference.Flts.guard fam.Flts.guard;
       Alcotest.(check (array int))
         (name ^ ": init") reference.Flts.init fam.Flts.init)
-    [ 1; 2; 4 ]
+    [ 1; 2; 4 ];
+  (* One-member families reproduce the plain build at every job count. *)
+  List.iter
+    (fun (model, spec) ->
+      let plain = Lts.of_spec spec in
+      List.iter
+        (fun jobs ->
+          let fam, _ = Flts.build_family ~jobs ~par_threshold:0 [| spec |] in
+          check_one_member
+            (Printf.sprintf "%s one-member j%d" model jobs)
+            fam plain)
+        [ 1; 2; 4 ])
+    [ ("rpc", (rpc_specs ()).(0)); ("streaming", specs.(0)) ]
 
 let test_figure_identity () =
   (* The sweep values produced through the family path must equal the

@@ -115,7 +115,7 @@ let test_family_spill_differential () =
   let fam, st =
     Flts.build_family ~spill_dir:dir ~max_resident_bytes:0 ~seg_bits:8 specs
   in
-  Alcotest.(check bool) "family spilled" true (st.Flts.spilled_segments > 0);
+  Alcotest.(check bool) "family spilled" true (st.Lts.spilled_segments > 0);
   Alcotest.(check int) "family states" reference.Flts.num_states
     fam.Flts.num_states;
   for c = 0 to Array.length specs - 1 do
@@ -123,6 +123,23 @@ let test_family_spill_differential () =
       (Printf.sprintf "family config %d" c)
       (Flts.project reference c) (Flts.project fam c)
   done;
+  (* A spilled one-member family is still the plain build's CSR. *)
+  List.iter
+    (fun (model, spec) ->
+      let spec = Lazy.force spec in
+      let plain = Lts.of_spec spec in
+      List.iter
+        (fun jobs ->
+          let name = Printf.sprintf "%s one-member spilled j%d" model jobs in
+          let fam, st =
+            Flts.build_family ~jobs ~par_threshold:0 ~spill_dir:dir
+              ~max_resident_bytes:0 ~seg_bits:8 [| spec |]
+          in
+          Alcotest.(check bool) (name ^ ": spilled") true
+            (st.Lts.spilled_segments > 0);
+          Test_family.check_one_member name fam plain)
+        [ 1; 2; 4 ])
+    [ ("rpc", rpc_spec); ("streaming", streaming_spec) ];
   check_dir_empty "family" dir
 
 (* Ambient defaults: a build with no explicit spill arguments must pick
@@ -206,7 +223,16 @@ let test_abort_removes_temp_files () =
           ~seg_bits:8 (Lazy.force rpc_spec));
      Alcotest.fail "expected Too_many_states"
    with Lts.Too_many_states _ -> ());
-  check_dir_empty "too-many-states abort" dir
+  check_dir_empty "too-many-states abort" dir;
+  (* And so does the family builder, through the same loop; 16-slot
+     segments make the spill file exist before the bound trips. *)
+  (try
+     ignore
+       (Flts.build_family ~max_states:10 ~spill_dir:dir ~max_resident_bytes:0
+          ~seg_bits:4 [| Lazy.force rpc_spec |]);
+     Alcotest.fail "expected Too_many_states"
+   with Lts.Too_many_states _ -> ());
+  check_dir_empty "family too-many-states abort" dir
 
 let test_verdict_shape () =
   let trip =
