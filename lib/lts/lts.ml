@@ -2,7 +2,6 @@ module Term = Dpma_pa.Term
 module Semantics = Dpma_pa.Semantics
 module Label = Dpma_pa.Label
 module Pool = Dpma_util.Pool
-module Int_tbl = Hashtbl.Make (Int)
 module I = Dpma_obs.Instruments
 module M = Dpma_obs.Metrics
 
@@ -199,8 +198,10 @@ let bfs ~phase ?(partial = []) ~t0 ~max_states ?jobs ?par_threshold
     | Some t -> max 0 t
     | None -> par_round_threshold ~jobs
   in
-  (* Hash-consed terms: the state table is keyed by unique id. *)
-  let table : int Int_tbl.t = Int_tbl.create 1024 in
+  (* Hash-consed terms carry dense uids, so the state table is an array
+     indexed by uid (-1: not a state yet), grown by doubling: at most one
+     word per term, next to the seven or more each term already pins. *)
+  let ids = ref (Array.make (max 1024 (Term.hashcons_count ())) (-1)) in
   let terms = term_store () in
   let pol =
     Segstore.policy ?spill_dir ?max_resident_bytes ?seg_bits:store_seg_bits ()
@@ -213,15 +214,22 @@ let bfs ~phase ?(partial = []) ~t0 ~max_states ?jobs ?par_threshold
   let rows = Segstore.create pol ~int_cols:1 ~float_col:false in
   let count = ref 0 in
   let id_of (term : Term.t) =
-    match Int_tbl.find_opt table term.Term.uid with
-    | Some id -> id
-    | None ->
-        if !count >= max_states then raise (Too_many_states max_states);
-        let id = !count in
-        incr count;
-        Int_tbl.add table term.Term.uid id;
-        push_term terms term;
-        id
+    let uid = term.Term.uid in
+    if uid >= Array.length !ids then begin
+      let bigger = Array.make (max (uid + 1) (2 * Array.length !ids)) (-1) in
+      Array.blit !ids 0 bigger 0 (Array.length !ids);
+      ids := bigger
+    end;
+    let id = !ids.(uid) in
+    if id >= 0 then id
+    else begin
+      if !count >= max_states then raise (Too_many_states max_states);
+      let id = !count in
+      incr count;
+      !ids.(uid) <- id;
+      push_term terms term;
+      id
+    end
   in
   let push_edge lab k rate g =
     let tgt = id_of k in

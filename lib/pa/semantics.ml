@@ -19,11 +19,14 @@ type trans = (Label.t * Rate.t * Term.t) list
    code path serves the serialized engine (mutex-protected memo, atomic
    hit/miss counters) and the per-worker shards of the parallel builder
    (lock-free local table in front of a frozen parent memo). [c_find] is
-   responsible for hit/miss accounting so the recursion stays branch-free. *)
+   responsible for hit/miss accounting so the recursion stays branch-free.
+   [c_sync] is the engine's cache of sorted synchronization actions,
+   shared with its shards. *)
 type cache = {
   c_defs : Term.defs;
   c_find : int -> trans option;
   c_store : int -> trans -> unit;
+  c_sync : (Lset.t * Label.t list) list Atomic.t;
 }
 
 type engine = {
@@ -37,13 +40,9 @@ type engine = {
 
 type shard = {
   sh_parent : engine;
+  (* Only the derivations this shard computed: parent memo hits are read
+     in place, so [merge_shard] offers the parent exactly this table. *)
   sh_local : trans Uid_tbl.t;
-  (* Entries this shard actually computed (as opposed to copies of parent
-     memo hits cached in [sh_local] for lock-free re-reads): the only
-     entries [merge_shard] must offer the parent. Kept as a list so the
-     merge touches O(new derivations) instead of walking the whole local
-     table under the parent lock every round. *)
-  sh_fresh : (int * trans) list ref;
   sh_hits : int ref;
   sh_misses : int ref;
   sh_cache : cache;
@@ -70,14 +69,13 @@ let make defs =
     Mutex.unlock memo_lock
   in
   { defs; memo; memo_lock; hits; misses;
-    cache = { c_defs = defs; c_find; c_store } }
+    cache = { c_defs = defs; c_find; c_store; c_sync = Atomic.make [] } }
 
 let stats (e : engine) =
   { hits = Atomic.get e.hits; misses = Atomic.get e.misses }
 
 let shard (e : engine) =
   let local = Uid_tbl.create 256 in
-  let fresh = ref [] in
   let hits = ref 0 and misses = ref 0 in
   let c_find uid =
     match Uid_tbl.find_opt local uid with
@@ -89,36 +87,31 @@ let shard (e : engine) =
            no domain writes it — workers buffer results locally and the
            coordinator merges them between rounds. *)
         match Uid_tbl.find_opt e.memo uid with
-        | Some trans ->
+        | Some _ as r ->
             incr hits;
-            Uid_tbl.replace local uid trans;
-            Some trans
+            r
         | None ->
             incr misses;
             None)
   in
-  let c_store uid trans =
-    Uid_tbl.replace local uid trans;
-    fresh := (uid, trans) :: !fresh
-  in
-  { sh_parent = e; sh_local = local; sh_fresh = fresh; sh_hits = hits;
-    sh_misses = misses; sh_cache = { c_defs = e.defs; c_find; c_store } }
+  let c_store uid trans = Uid_tbl.replace local uid trans in
+  { sh_parent = e; sh_local = local; sh_hits = hits; sh_misses = misses;
+    sh_cache = { e.cache with c_find; c_store } }
 
 let shard_stats (sh : shard) = { hits = !(sh.sh_hits); misses = !(sh.sh_misses) }
 
 let merge_shard (sh : shard) =
   let e = sh.sh_parent in
   Mutex.lock e.memo_lock;
-  List.iter
-    (fun (uid, trans) ->
+  Uid_tbl.iter
+    (fun uid trans ->
       if not (Uid_tbl.mem e.memo uid) then Uid_tbl.replace e.memo uid trans)
-    !(sh.sh_fresh);
+    sh.sh_local;
   Mutex.unlock e.memo_lock;
   ignore (Atomic.fetch_and_add e.hits !(sh.sh_hits));
   ignore (Atomic.fetch_and_add e.misses !(sh.sh_misses));
   sh.sh_hits := 0;
   sh.sh_misses := 0;
-  sh.sh_fresh := [];
   Uid_tbl.reset sh.sh_local
 
 let passive_total trans =
@@ -127,9 +120,19 @@ let passive_total trans =
 (* Synchronization actions are derived in alphabetical name order — the
    order the string-set representation used to give — so transition lists,
    and hence BFS state numbering downstream, do not depend on label
-   interning order. *)
-let sorted_sync_actions s =
-  Lset.elements s |> List.sort Label.compare_by_name
+   interning order. The sort depends only on the set, so each engine
+   computes it once per set, keyed by physical identity: derived [Par]
+   terms carry their parent's set, so the key space is the handful of
+   sets the specification builds. An entry is published by one CAS: a
+   domain that loses the race recomputes the set on its next miss. *)
+let sorted_sync_actions c s =
+  let known = Atomic.get c.c_sync in
+  match List.assq_opt s known with
+  | Some acts -> acts
+  | None ->
+      let acts = Lset.elements s |> List.sort Label.compare_by_name in
+      ignore (Atomic.compare_and_set c.c_sync known ((s, acts) :: known));
+      acts
 
 let rec derive_c c (t : Term.t) =
   match c.c_find t.uid with
@@ -195,11 +198,18 @@ and derive_uncached c (t : Term.t) =
                    qs)
         end
       in
-      let sync = List.concat_map sync_on (sorted_sync_actions s) in
+      let sync = List.concat_map sync_on (sorted_sync_actions c s) in
       left @ right @ sync
 
 let derive (e : engine) t = derive_c e.cache t
-let derive_in (sh : shard) t = derive_c sh.sh_cache t
+
+(* A BFS root is expanded exactly once, so its own list would never be read
+   again: look it up, but store only what its derivation memoizes below. *)
+let derive_in (sh : shard) (t : Term.t) =
+  let c = sh.sh_cache in
+  match c.c_find t.uid with
+  | Some trans -> trans
+  | None -> derive_uncached c t
 
 let transitions defs t = derive (make defs) t
 

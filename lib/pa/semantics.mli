@@ -17,8 +17,9 @@
     derivation is pure, so both land on the same answer).
 
     For the parallel state-space builder, a {!shard} gives one worker a
-    lock-free private view: lookups consult a local table first, then the
-    parent memo without taking the lock. That read is only safe while the
+    lock-free private view: lookups consult a local table of the shard's
+    own derivations first, then the parent memo in place, without taking
+    the lock or copying the entry. That read is only safe while the
     parent memo is frozen — i.e. between {!merge_shard} calls no domain may
     write the engine (call {!derive} on it, or merge another shard). The
     level-synchronous builder guarantees this by merging all shards from
@@ -48,12 +49,15 @@ type shard
 
 val shard : engine -> shard
 (** A single-domain worker view of [engine]: derivations answered from a
-    private table or the (frozen) parent memo, new results buffered
-    locally until {!merge_shard}. *)
+    private table or read in place from the (frozen) parent memo, new
+    results buffered locally until {!merge_shard}. *)
 
 val derive_in : shard -> Term.t -> (Label.t * Rate.t * Term.t) list
-(** Memoized SOS derivation through the shard. Not thread-safe — one
-    domain per shard. *)
+(** SOS derivation of a BFS root through the shard. The root itself is
+    looked up (a hit or a miss in {!shard_stats}) but, on a miss, not
+    stored: the builder expands each state once, so only the derivations
+    of its subterms are memoized. Not thread-safe — one domain per
+    shard. *)
 
 val shard_stats : shard -> stats
 (** Hits/misses accumulated by this shard since creation or the last

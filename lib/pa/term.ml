@@ -18,9 +18,12 @@ let tau = "tau"
 (* ------------------------------------------------------------------ *)
 (* Hash-consing. Children are compared by physical identity (they are
    themselves hash-consed), labels and label sets by integer value, rates
-   structurally. The table is a plain bucket map keyed by node hash:
-   terms live as long as the process, which matches how specifications are
-   used (built once, explored many times). *)
+   structurally. The table is open-addressing over two parallel arrays —
+   the stored node hash (-1 marks an empty slot) and the term — probed
+   linearly from a multiplicative mix of the hash, so a lookup compares
+   stored hashes first and runs [node_equal] only on a hash match. Terms
+   live as long as the process, which matches how specifications are used
+   (built once, explored many times). *)
 
 let rec list_physically_equal xs ys =
   match (xs, ys) with
@@ -39,10 +42,11 @@ let node_equal n1 n2 =
       a1 = a2 && k1 == k2 && Rate.equal r1 r2
   | Choice ts1, Choice ts2 -> list_physically_equal ts1 ts2
   | Call n1, Call n2 -> String.equal n1 n2
+  (* Derived terms reuse their parent's set physically: test [==] first. *)
   | Par (p1, s1, q1), Par (p2, s2, q2) ->
-      p1 == p2 && q1 == q2 && Lset.equal s1 s2
+      p1 == p2 && q1 == q2 && (s1 == s2 || Lset.equal s1 s2)
   | Hide (s1, p1), Hide (s2, p2) | Restrict (s1, p1), Restrict (s2, p2) ->
-      p1 == p2 && Lset.equal s1 s2
+      p1 == p2 && (s1 == s2 || Lset.equal s1 s2)
   | Rename (m1, p1), Rename (m2, p2) -> p1 == p2 && rename_map_equal m1 m2
   | (Stop | Prefix _ | Choice _ | Call _ | Par _ | Hide _ | Restrict _
     | Rename _), _ ->
@@ -68,28 +72,65 @@ let node_hash = function
            19 map)
         p.uid
 
-let table : (int, t list) Hashtbl.t = Hashtbl.create 4096
-
 let mutex = Mutex.create ()
 
-let next_uid = ref 0
+(* Slot [i] is empty iff [hashes.(i) = -1]; [slots.(i)] is then [empty]. *)
+let empty = { uid = -1; node = Stop }
+
+let initial_bits = 12
+
+let bits = ref initial_bits
+
+let hashes = ref (Array.make (1 lsl initial_bits) (-1))
+
+let slots = ref (Array.make (1 lsl initial_bits) empty)
 
 let live = ref 0
+
+(* Fibonacci hashing: the top [bits] bits of the product. *)
+let slot_of h = (h * 0x4F1B_BCDC_BFA5_3E0B) lsr (Sys.int_size - !bits)
+
+(* Doubles the table, reinserting by stored hash: no node is rehashed. *)
+let grow () =
+  let old_hashes = !hashes and old_slots = !slots in
+  incr bits;
+  let cap = 1 lsl !bits in
+  let hs = Array.make cap (-1) and ts = Array.make cap empty in
+  let mask = cap - 1 in
+  Array.iteri
+    (fun j h ->
+      if h >= 0 then begin
+        let i = ref (slot_of h) in
+        while hs.(!i) >= 0 do
+          i := (!i + 1) land mask
+        done;
+        hs.(!i) <- h;
+        ts.(!i) <- old_slots.(j)
+      end)
+    old_hashes;
+  hashes := hs;
+  slots := ts
 
 let cons node =
   let h = node_hash node land max_int in
   Mutex.lock mutex;
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt table h) in
-  let t =
-    match List.find_opt (fun t -> node_equal t.node node) bucket with
-    | Some t -> t
-    | None ->
-        let t = { uid = !next_uid; node } in
-        incr next_uid;
-        incr live;
-        Hashtbl.replace table h (t :: bucket);
-        t
+  let hs = !hashes and ts = !slots in
+  let mask = Array.length hs - 1 in
+  let rec probe i =
+    let hi = hs.(i) in
+    if hi < 0 then begin
+      (* Uids are dense: the next one is the count of terms so far. *)
+      let t = { uid = !live; node } in
+      hs.(i) <- h;
+      ts.(i) <- t;
+      incr live;
+      if 2 * !live > mask + 1 then grow ();
+      t
+    end
+    else if hi = h && node_equal ts.(i).node node then ts.(i)
+    else probe ((i + 1) land mask)
   in
+  let t = probe (slot_of h) in
   Mutex.unlock mutex;
   t
 

@@ -119,6 +119,60 @@ let test_hashcons_count_shares () =
   Alcotest.(check int) "re-building allocates nothing" mid (Term.hashcons_count ());
   Alcotest.(check bool) "first build allocated something" true (mid > before)
 
+(* The sharing table starts at 4096 slots and doubles once more than half
+   are full, so its capacity is at most max 4096 (4 * live terms); consing
+   this many fresh terms crosses at least three doublings. *)
+let fresh_for_three_grows () =
+  let live = Term.hashcons_count () in
+  (2 * max 4096 (4 * live)) + 1 - live
+
+(* Distinct for distinct [i] (only the rate differs), and new to the table
+   as long as no other test uses the label [probe]. *)
+let probe_term probe i = Term.prefix probe (Rate.exp (float_of_int (i + 1))) Term.stop
+
+let test_hashcons_grow () =
+  let old () = [ Term.stop; Term.prefix "a" r Term.stop; Term.call "P" ] in
+  let before_grows = old () in
+  let before = Term.hashcons_count () in
+  let n = fresh_for_three_grows () in
+  let made = Array.init n (probe_term "hashcons_grow_probe") in
+  Alcotest.(check int) "one new term per distinct node" (before + n)
+    (Term.hashcons_count ());
+  let again = Array.init n (probe_term "hashcons_grow_probe") in
+  Alcotest.(check bool) "terms made across grows come back physically equal"
+    true
+    (Array.for_all2 ( == ) made again);
+  Alcotest.(check bool) "terms made before the grows come back physically equal"
+    true
+    (List.for_all2 ( == ) before_grows (old ()));
+  Alcotest.(check int) "re-consing adds nothing" (before + n)
+    (Term.hashcons_count ())
+
+let test_hashcons_grow_domains () =
+  let before = Term.hashcons_count () in
+  let n = fresh_for_three_grows () in
+  (* Odd domains cons in reverse order, so inserts interleave with grows
+     triggered from the other end of the set. *)
+  let cons_all d =
+    let out = Array.make n Term.stop in
+    for k = 0 to n - 1 do
+      let i = if d land 1 = 0 then k else n - 1 - k in
+      out.(i) <- probe_term "hashcons_domain_probe" i
+    done;
+    out
+  in
+  let results =
+    Array.init 4 (fun d -> Domain.spawn (fun () -> cons_all d))
+    |> Array.map Domain.join
+  in
+  Array.iter
+    (fun res ->
+      Alcotest.(check bool) "every domain gets the same physical terms" true
+        (Array.for_all2 ( == ) results.(0) res))
+    results;
+  Alcotest.(check int) "each distinct term consed once" (before + n)
+    (Term.hashcons_count ())
+
 (* ------------------------------------------------------------------ *)
 (* SOS memoization *)
 
@@ -136,6 +190,43 @@ let test_sos_memo_hits () =
   Alcotest.(check int) "second derive is pure hit" (s1.Semantics.misses)
     s2.Semantics.misses;
   Alcotest.(check bool) "hits increased" true (s2.Semantics.hits > s1.Semantics.hits)
+
+let test_shard_root_unstored () =
+  (* A shard looks its root up but does not store it: each BFS state is
+     expanded once. The children it derives through are memoized. *)
+  let p = Term.prefix "a" r Term.stop in
+  let q = Term.prefix "b" r Term.stop in
+  let t = Term.par_names p [] q in
+  let sh = Semantics.shard (Semantics.make []) in
+  let first = Semantics.derive_in sh t in
+  let s1 = Semantics.shard_stats sh in
+  Alcotest.(check int) "root and both children miss" 3 s1.Semantics.misses;
+  Alcotest.(check int) "nothing to hit yet" 0 s1.Semantics.hits;
+  let second = Semantics.derive_in sh t in
+  let s2 = Semantics.shard_stats sh in
+  Alcotest.(check int) "second root lookup misses again" 4 s2.Semantics.misses;
+  Alcotest.(check int) "children are hits the second time" 2 s2.Semantics.hits;
+  Alcotest.(check bool) "same derivation" true (first = second)
+
+let test_build_after_uid_growth () =
+  let spec =
+    (Dpma_models.Rpc.elaborate ~mode:Dpma_models.Rpc.Markovian ~monitors:true
+       Dpma_models.Rpc.default_params)
+      .Dpma_adl.Elaborate.spec
+  in
+  let a = Lts.of_spec spec in
+  (* The first build's uid-indexed id table holds at most twice the live
+     terms: push fresh uids well past it. *)
+  let live = Term.hashcons_count () in
+  ignore (Array.init ((2 * live) + 1024) (probe_term "uid_growth_probe"));
+  let b = Lts.of_spec spec in
+  Alcotest.(check int) "init" a.Lts.init b.Lts.init;
+  Alcotest.(check bool) "row" true (a.Lts.row = b.Lts.row);
+  Alcotest.(check bool) "lab" true (a.Lts.lab = b.Lts.lab);
+  Alcotest.(check bool) "tgt" true (a.Lts.tgt = b.Lts.tgt);
+  Alcotest.(check bool) "rate_kind" true (a.Lts.rate_kind = b.Lts.rate_kind);
+  Alcotest.(check bool) "rate_val" true (a.Lts.rate_val = b.Lts.rate_val);
+  Alcotest.(check bool) "rate_prio" true (a.Lts.rate_prio = b.Lts.rate_prio)
 
 (* ------------------------------------------------------------------ *)
 (* Differential test: the two paper studies against reference values
@@ -295,7 +386,13 @@ let suite =
     Alcotest.test_case "hashcons equal iff physical" `Quick
       test_hashcons_equal_iff_physical;
     Alcotest.test_case "hashcons sharing table" `Quick test_hashcons_count_shares;
+    Alcotest.test_case "hashcons table grows" `Quick test_hashcons_grow;
+    Alcotest.test_case "hashcons grows under 4 domains" `Quick
+      test_hashcons_grow_domains;
     Alcotest.test_case "sos memo hits" `Quick test_sos_memo_hits;
+    Alcotest.test_case "shard root not stored" `Quick test_shard_root_unstored;
+    Alcotest.test_case "build after uid growth" `Quick
+      test_build_after_uid_growth;
     Alcotest.test_case "differential: rpc" `Slow test_differential_rpc;
     Alcotest.test_case "differential: streaming" `Slow test_differential_streaming;
   ]
