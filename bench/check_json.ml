@@ -102,6 +102,10 @@ let () =
                   "lts.build_seconds.j2"; "lts.build_seconds.j4";
                   "bisim.refine_seconds"; "bisim.refine_seconds.j1";
                   "bisim.refine_seconds.j2"; "bisim.refine_seconds.j4";
+                  (* the Markovian leg of the same sweep *)
+                  "bisim.markovian_refine_seconds.j1";
+                  "bisim.markovian_refine_seconds.j2";
+                  "bisim.markovian_refine_seconds.j4";
                   (* the lazy weak sweep (legs checked bit-identical
                      across job counts by the bench itself) *)
                   "bisim.weak_refine_seconds.j1";
@@ -129,6 +133,9 @@ let () =
                  on the full-size model to stay inside the timeout) *)
               "bisim.refine_seconds.j1"; "bisim.refine_seconds.j2";
               "bisim.refine_seconds.j4";
+              "bisim.markovian_refine_seconds.j1";
+              "bisim.markovian_refine_seconds.j2";
+              "bisim.markovian_refine_seconds.j4";
               "bisim.weak_refine_seconds.j1"; "bisim.weak_refine_seconds.j2";
               "bisim.weak_refine_seconds.j4";
               (* closure-arena high-water mark of the weak sweep: the

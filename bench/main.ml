@@ -265,36 +265,42 @@ let check_build_regression name sweep =
   | [] -> ()
 
 (* The refinement loop's jobs scaling, next to the builder's: the
-   coarsest strong-bisimulation partition of the study's full LTS at 1,
-   2 and 4 jobs (bisim.refine_seconds.jN). The partitions must be
-   bit-identical — the parallel signature pass merges per-chunk classes
-   in state order — so the sweep doubles as a differential check. *)
+   coarsest strong-bisimulation partition (bisim.refine_seconds.jN) and
+   the ordinary-lumpability partition (bisim.markovian_refine_seconds.jN)
+   of the study's full LTS at 1, 2 and 4 jobs. The partitions must be
+   bit-identical — the parallel signature pass merges per-worker classes
+   in state order — so the sweep doubles as a differential check of
+   both signature kinds, the Markovian one with its rate sums. *)
 let refine_sweep name (lts : Lts.t) =
-  let results =
-    List.map
-      (fun j ->
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        let p = Bisim.strong_partition ~jobs:j lts in
-        let dt = Unix.gettimeofday () -. t0 in
-        (j, p, dt))
-      jobs_sweep
+  let leg kind key partition =
+    let results =
+      List.map
+        (fun j ->
+          Gc.full_major ();
+          let t0 = Unix.gettimeofday () in
+          let p = partition ~jobs:j lts in
+          let dt = Unix.gettimeofday () -. t0 in
+          (j, p, dt))
+        jobs_sweep
+    in
+    (match results with
+    | (_, first, _) :: rest ->
+        List.iter
+          (fun (j, p, _) ->
+            if p <> first then begin
+              Printf.eprintf
+                "[bench] JOBS MISMATCH %s: %s partition differs at j%d\n%!"
+                name kind j;
+              exit 1
+            end)
+          rest
+    | [] -> ());
+    List.map (fun (j, _, dt) -> (Printf.sprintf "%s.j%d" key j, dt)) results
   in
-  (match results with
-  | (_, first, _) :: rest ->
-      List.iter
-        (fun (j, p, _) ->
-          if p <> first then begin
-            Printf.eprintf
-              "[bench] JOBS MISMATCH %s: strong partition differs at j%d\n%!"
-              name j;
-            exit 1
-          end)
-        rest
-  | [] -> ());
-  List.map
-    (fun (j, _, dt) -> (Printf.sprintf "bisim.refine_seconds.j%d" j, dt))
-    results
+  leg "strong" "bisim.refine_seconds" (fun ~jobs lts ->
+      Bisim.strong_partition ~jobs lts)
+  @ leg "markovian" "bisim.markovian_refine_seconds" (fun ~jobs lts ->
+        Bisim.markovian_partition ~jobs lts)
 
 (* The weak path next to the strong one: the weak-bisimulation
    partition of the study's functional LTS at 1, 2 and 4 jobs

@@ -12,36 +12,230 @@ module Pool = Dpma_util.Pool
 
 let pack_pair label block = (label lsl 31) lor block
 
-module Sig_key = struct
-  type t = { old_block : int; ints : int array; floats : float array }
+(* ------------------------------------------------------------------ *)
+(* The class table                                                      *)
 
-  let equal a b =
-    a.old_block = b.old_block
-    && Array.length a.ints = Array.length b.ints
-    && Array.length a.floats = Array.length b.floats
-    && (let ok = ref true in
-        Array.iteri (fun i x -> if x <> b.ints.(i) then ok := false) a.ints;
-        !ok)
-    && (let ok = ref true in
-        Array.iteri
-          (fun i (x : float) -> if x <> b.floats.(i) then ok := false)
-          a.floats;
-        !ok)
+(* A refinement round keys every state by (old block, signature) and
+   numbers the distinct keys densely in first-seen state order. The
+   table doing it is flat. A signature pass writes a state's signature
+   into the table's scratch buffer ([ints]/[len], plus [floats]/[flen]
+   for Markovian rates); the table hashes and compares the buffer in
+   place and copies it into its arena only when it opens a new class.
 
-  let hash { old_block; ints; floats } =
-    let h = ref (old_block + 1) in
-    Array.iter (fun x -> h := (!h * 31) + x) ints;
-    Array.iter
-      (fun x -> h := (!h * 31) + (Int64.to_int (Int64.bits_of_float x) land max_int))
-      floats;
-    !h land max_int
+   A class is one contiguous arena record — its id, old block, ints
+   length, floats length and floats offset, then its ints — so a lookup
+   that hits touches one slot and one record. Slots are open-addressed
+   (linear probing, load at most 1/2) pairs of full hash and record
+   offset; the hash is checked before the record is read. [records]
+   maps class ids back to record offsets, for the parallel merge. A
+   refinement allocates its tables once and clears them between rounds,
+   so every array only grows. *)
+module Class_table = struct
+  type t = {
+    mutable ints : int array;
+    mutable len : int;
+    mutable floats : float array;
+    mutable flen : int;
+    mutable keys : int array;  (* Markovian per-edge (pair, class) keys *)
+    mutable perm : int array;  (* Markovian per-edge sort permutation *)
+    mutable slots : int array;  (* (hash, record offset or -1) pairs *)
+    mutable count : int;
+    mutable records : int array;
+    mutable arena : int array;
+    mutable arena_len : int;
+    mutable float_arena : float array;
+    mutable float_len : int;
+  }
+
+  (* Initial slot count, a power of two. *)
+  let initial_slots = 64
+
+  (* Record layout: class id, old block, ints length, floats length,
+     floats offset, then the ints. *)
+  let header = 5
+
+  let create () =
+    {
+      ints = Array.make 32 0;
+      len = 0;
+      floats = Array.make 8 0.0;
+      flen = 0;
+      keys = [||];
+      perm = [||];
+      slots = Array.make (2 * initial_slots) (-1);
+      count = 0;
+      records = Array.make (initial_slots / 2) 0;
+      arena = Array.make (8 * initial_slots) 0;
+      arena_len = 0;
+      float_arena = [||];
+      float_len = 0;
+    }
+
+  let grow_ints a need =
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  let grow_floats a need =
+    let b = Array.make (max need (2 * Array.length a)) 0.0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* The scratch buffer, with room for at least [need] entries; the
+     pass then sets the signature's length with {!set_lengths}. *)
+  let ints_buffer t need =
+    if need > Array.length t.ints then t.ints <- grow_ints t.ints need;
+    t.ints
+
+  let floats_buffer t need =
+    if need > Array.length t.floats then t.floats <- grow_floats t.floats need;
+    t.floats
+
+  let set_lengths t ~ints ~floats =
+    t.len <- ints;
+    t.flen <- floats
+
+  (* Load a ready-made int-only signature into the scratch buffer. *)
+  let load_ints t a =
+    let n = Array.length a in
+    Array.blit a 0 (ints_buffer t n) 0 n;
+    set_lengths t ~ints:n ~floats:0
+
+  let scratch_ints t = Array.sub t.ints 0 t.len
+
+  let clear t =
+    Array.fill t.slots 0 (Array.length t.slots) (-1);
+    t.count <- 0;
+    t.arena_len <- 0;
+    t.float_len <- 0
+
+  let mix h x = (h lxor x) * 0x2545_F491_4F6C_DD1D
+
+  (* The hash of the key (old block [ob], ints [si.(io .. io + il - 1)],
+     floats [sf.(fo .. fo + fl - 1)]). *)
+  let hash ob (si : int array) io il (sf : float array) fo fl =
+    let h = ref (mix 0x27D4_EB2F_1656_67C5 ob) in
+    for i = io to io + il - 1 do
+      h := mix !h si.(i)
+    done;
+    for i = fo to fo + fl - 1 do
+      h := mix !h (Int64.to_int (Int64.bits_of_float sf.(i)))
+    done;
+    (* Probing masks the low bits; fold the high ones down first. *)
+    !h lxor (!h lsr 29)
+
+  (* Is the record at [off] the key ([ob], [si], [sf] as in {!hash})? *)
+  let matches t off ob (si : int array) io il (sf : float array) fo fl =
+    let a = t.arena in
+    a.(off + 1) = ob
+    && a.(off + 2) = il
+    && a.(off + 3) = fl
+    && (let base = off + header in
+        let i = ref 0 in
+        while !i < il && a.(base + !i) = si.(io + !i) do
+          incr i
+        done;
+        !i = il)
+    &&
+    let base = a.(off + 4) in
+    let i = ref 0 in
+    while !i < fl && t.float_arena.(base + !i) = sf.(fo + !i) do
+      incr i
+    done;
+    !i = fl
+
+  (* Open a class for the key; returns its record offset. *)
+  let add t ob si io il sf fo fl =
+    let c = t.count in
+    if c = Array.length t.records then t.records <- grow_ints t.records (c + 1);
+    let off = t.arena_len in
+    let stop = off + header + il in
+    if stop > Array.length t.arena then t.arena <- grow_ints t.arena stop;
+    let a = t.arena in
+    a.(off) <- c;
+    a.(off + 1) <- ob;
+    a.(off + 2) <- il;
+    a.(off + 3) <- fl;
+    a.(off + 4) <- t.float_len;
+    (* Element loops, not [Array.blit]: signatures are a handful of
+       entries, and this runs once per class per round. *)
+    for k = 0 to il - 1 do
+      a.(off + header + k) <- si.(io + k)
+    done;
+    t.arena_len <- stop;
+    if fl > 0 then begin
+      if t.float_len + fl > Array.length t.float_arena then
+        t.float_arena <- grow_floats t.float_arena (t.float_len + fl);
+      for k = 0 to fl - 1 do
+        t.float_arena.(t.float_len + k) <- sf.(fo + k)
+      done;
+      t.float_len <- t.float_len + fl
+    end;
+    t.records.(c) <- off;
+    t.count <- c + 1;
+    off
+
+  let rehash t =
+    let old = t.slots in
+    let slots = Array.make (2 * Array.length old) (-1) in
+    let mask = (Array.length old) - 1 in
+    for j = 0 to (Array.length old / 2) - 1 do
+      let off = old.((2 * j) + 1) in
+      if off >= 0 then begin
+        let h = old.(2 * j) in
+        let i = ref (h land mask) in
+        while slots.((2 * !i) + 1) >= 0 do
+          i := (!i + 1) land mask
+        done;
+        slots.(2 * !i) <- h;
+        slots.((2 * !i) + 1) <- off
+      end
+    done;
+    t.slots <- slots
+
+  let find_or_add t h ob si io il sf fo fl =
+    let mask = (Array.length t.slots / 2) - 1 in
+    let i = ref (h land mask) in
+    let found = ref (-1) in
+    while !found < 0 do
+      let j = 2 * !i in
+      let off = t.slots.(j + 1) in
+      if off < 0 then begin
+        let off = add t ob si io il sf fo fl in
+        t.slots.(j) <- h;
+        t.slots.(j + 1) <- off;
+        found := t.arena.(off);
+        if 4 * t.count > Array.length t.slots then rehash t
+      end
+      else if t.slots.(j) = h && matches t off ob si io il sf fo fl then
+        found := t.arena.(off)
+      else i := (!i + 1) land mask
+    done;
+    !found
+
+  (* The class of the scratch signature under old block [old_block],
+     opened (numbered [count]) if new. *)
+  let classify t ~old_block =
+    let h = hash old_block t.ints 0 t.len t.floats 0 t.flen in
+    find_or_add t h old_block t.ints 0 t.len t.floats 0 t.flen
+
+  (* A class that no key can reach: numbered [count], with no record. *)
+  let fresh t =
+    let c = t.count in
+    if c = Array.length t.records then t.records <- grow_ints t.records (c + 1);
+    t.records.(c) <- -1;
+    t.count <- c + 1;
+    c
+
+  (* The class of [src]'s class [c] in [t], opened if new. *)
+  let merge_class t src c =
+    let off = src.records.(c) in
+    let a = src.arena in
+    let ob = a.(off + 1) and il = a.(off + 2) and fl = a.(off + 3) in
+    let io = off + header and fo = a.(off + 4) in
+    let h = hash ob a io il src.float_arena fo fl in
+    find_or_add t h ob a io il src.float_arena fo fl
 end
-
-module Sig_tbl = Hashtbl.Make (Sig_key)
-
-type signature = { ints : int array; floats : float array }
-
-let ints_signature ints = { ints; floats = [||] }
 
 module Int_key = struct
   type t = int
@@ -56,22 +250,29 @@ end
 
 module Int_tbl = Hashtbl.Make (Int_key)
 
-(* Signature-based partition refinement. [signature] maps a state to a
-   canonical representation of its outgoing behaviour w.r.t. the current
-   blocks; refinement stops when the block count is stable.
+(* Signature-based partition refinement. A signature pass writes a
+   state's canonical outgoing behaviour w.r.t. the current blocks into a
+   class table's scratch buffer; refinement stops when the block count
+   is stable.
 
    Each round re-keys every state by (current block, signature) and
    renumbers the classes densely in first-seen state order. With more
    than one job the signature pass — read-only over the frozen CSR and
    the pre-round partition — is dealt to the pool as contiguous state
-   ranges: each worker dedupes its chunk's signatures into a private
-   table, recording the chunk's distinct keys in local first-seen order,
-   and the coordinator then merges the chunks in state order, assigning
-   a global class id the first time it meets each key. A key's global
-   first occurrence lies in the earliest chunk containing it, at that
-   chunk's local first occurrence, so the merged numbering is exactly
-   the sequential first-seen-by-state-index numbering: partitions are
-   bit-identical for any job count and any chunk size. *)
+   ranges. Each worker classifies its states into a private class table
+   it keeps across rounds, writing the worker-local class of every state
+   into the round's output array. The coordinator then walks the states
+   in order and maps each worker-local class to a global one, merging
+   the class's arena record into the global table the first time it
+   meets it. A key's global class is thus opened at the first state, in
+   state order, that carries it — exactly the sequential first-seen-by-
+   state-index numbering — so partitions are bit-identical for any job
+   count, any chunk size and any dealing of chunks to workers.
+
+   A state alone in its old block needs no signature at all: its key
+   contains the old block, which no other state shares, so it opens a
+   fresh class at its place in state order. Both paths number such
+   states without computing, hashing or storing their signatures. *)
 
 (* Below this state count a round's signature pass is too cheap to
    amortize the pool's per-round spawn/join cost; on a machine that
@@ -80,62 +281,54 @@ module Int_tbl = Hashtbl.Make (Int_key)
 let refine_par_cutoff ~jobs:_ =
   if Pool.hardware_parallelism () <= 1 then max_int else 1024
 
+(* [fill table block s] writes the signature of [s] under partition
+   [block] into [table]'s scratch buffer. *)
+type fill = Class_table.t -> int array -> int -> unit
+
 (* A signature pass abstracts how the refinement loop obtains a state's
    signature, so stateless signatures (strong, Markovian), the swept weak
    signatures and the cached branching signatures share one driver.
-   [sp_signature] is the sequential path, also used by the coordinator
+   [sp_fill] is the sequential path, also used by the coordinator
    (watched-pair recomputation) and by pool workers when [sp_worker] is
-   absent. [sp_worker], when present, creates a per-worker signature
-   function plus a completion hook run from the coordinating domain
-   after the worker's chunks are done (the branching pass hands out
-   cache shards here and merges them back in the hook). [sp_advance],
-   when present, is called between rounds — with the pre- and
-   post-round partitions — so the weak pass can re-sweep and the
-   branching pass can carry or invalidate its entries before block ids
-   change meaning. *)
+   absent. [sp_worker], when present, creates a per-worker fill function
+   plus a completion hook run from the coordinating domain after the
+   worker's chunks are done (the branching pass hands out cache shards
+   here and merges them back in the hook). [sp_advance], when present,
+   is called between rounds — with the pre- and post-round partitions —
+   so the weak pass can re-sweep and the branching pass can carry or
+   invalidate its entries before block ids change meaning. *)
 type sig_pass = {
-  sp_signature : int array -> int -> signature;
-  sp_worker : (unit -> (int array -> int -> signature) * (unit -> unit)) option;
+  sp_fill : fill;
+  sp_worker : (unit -> fill * (unit -> unit)) option;
   sp_advance : (old_block:int array -> new_block:int array -> unit) option;
 }
 
-let plain_pass signature =
-  { sp_signature = signature; sp_worker = None; sp_advance = None }
+let plain_pass fill = { sp_fill = fill; sp_worker = None; sp_advance = None }
 
-(* The distinct signature keys of one chunk, in local first-seen order,
-   plus each chunk state's index into them. *)
-type chunk_classes = { cc_keys : Sig_key.t array; cc_locals : int array }
-
+(* A pool worker's state, kept across the rounds of one refinement:
+   its class table and the map from its local classes to the round's
+   global ones (-1 until the merge meets the class). *)
 type refine_worker = {
-  rw_table : int Sig_tbl.t;
-  mutable rw_classes : int;
-  rw_signature : int array -> int -> signature;
-  rw_done : unit -> unit;
+  rw_slot : int;
+  rw_table : Class_table.t;
+  mutable rw_global : int array;
+  mutable rw_fill : fill;
+  mutable rw_done : unit -> unit;
 }
 
-let empty_key = { Sig_key.old_block = 0; ints = [||]; floats = [||] }
-
-let chunk_classes ~block w (lo, len) =
-  Sig_tbl.reset w.rw_table;
-  let locals = Array.make len 0 in
-  let rev_keys = ref [] in
-  let next = ref 0 in
-  for i = 0 to len - 1 do
-    let s = lo + i in
-    let ({ ints; floats } : signature) = w.rw_signature block s in
-    let key = { Sig_key.old_block = block.(s); ints; floats } in
-    match Sig_tbl.find_opt w.rw_table key with
-    | Some id -> locals.(i) <- id
-    | None ->
-        Sig_tbl.add w.rw_table key !next;
-        locals.(i) <- !next;
-        rev_keys := key :: !rev_keys;
-        incr next
+(* States alone in their old block are left to the coordinator, marked
+   [-1]: see [refine_loop]. *)
+let classify_chunk ~block ~block_size ~new_block w (lo, len) =
+  let t = w.rw_table in
+  for s = lo to lo + len - 1 do
+    let b = block.(s) in
+    if block_size.(b) = 1 then new_block.(s) <- -1
+    else begin
+      w.rw_fill t block s;
+      new_block.(s) <- Class_table.classify t ~old_block:b
+    end
   done;
-  w.rw_classes <- w.rw_classes + !next;
-  let keys = Array.make !next empty_key in
-  List.iteri (fun j k -> keys.(!next - 1 - j) <- k) !rev_keys;
-  { cc_keys = keys; cc_locals = locals }
+  w.rw_slot
 
 (* The shared driver behind [refine] and [refine_watched]: runs rounds to
    the fixpoint, or — when a watched pair is given — until the watched
@@ -156,7 +349,35 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
           let lo = i * c in
           (lo, min c (n - lo)))
   in
+  let table = Class_table.create () in
+  let workers = Array.make (if par then jobs else 0) None in
+  let next_slot = Atomic.make 0 in
+  let worker () =
+    let slot = Atomic.fetch_and_add next_slot 1 in
+    let w =
+      match workers.(slot) with
+      | Some w -> w
+      | None ->
+          let w =
+            { rw_slot = slot; rw_table = Class_table.create ();
+              rw_global = [||]; rw_fill = pass.sp_fill;
+              rw_done = (fun () -> ()) }
+          in
+          workers.(slot) <- Some w;
+          w
+    in
+    Class_table.clear w.rw_table;
+    (match pass.sp_worker with
+    | Some mk ->
+        let fill, finish = mk () in
+        w.rw_fill <- fill;
+        w.rw_done <- finish
+    | None -> ());
+    w
+  in
   let block = Array.make n 0 in
+  let new_block = Array.make n 0 in
+  let block_size = Array.make (max 1 n) 0 in
   let num_blocks = ref 1 in
   let rounds = ref 0 in
   let split = ref None in
@@ -170,70 +391,59 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
     Dpma_util.Guard.poll ~partial ~phase:"bisim.refine" ();
     M.incr I.bisim_rounds;
     incr rounds;
-    let new_block = Array.make n 0 in
-    let next =
-      if not par then begin
-        let table = Sig_tbl.create (2 * !num_blocks) in
-        let next = ref 0 in
-        for s = 0 to n - 1 do
-          let ({ ints; floats } : signature) = pass.sp_signature block s in
-          let key = { Sig_key.old_block = block.(s); ints; floats } in
-          match Sig_tbl.find_opt table key with
-          | Some id -> new_block.(s) <- id
-          | None ->
-              Sig_tbl.add table key !next;
-              new_block.(s) <- !next;
-              incr next
-        done;
-        !next
-      end
-      else begin
-        M.incr I.bisim_par_rounds;
-        let classes =
-          Pool.map_chunks_ordered ~jobs
-            ~init:(fun () ->
-              let rw_signature, rw_done =
-                match pass.sp_worker with
-                | Some mk -> mk ()
-                | None -> (pass.sp_signature, fun () -> ())
-              in
-              { rw_table = Sig_tbl.create 256; rw_classes = 0; rw_signature;
-                rw_done })
-            ~f:(chunk_classes ~block)
-            ~finish:(fun w ->
-              (* Runs in the coordinating domain in worker order: the
-                 branching pass merges its cache shards into the parent
-                 here, before the watched-pair recomputation below reads
-                 it. *)
-              w.rw_done ();
-              M.observe I.bisim_par_blocks_per_worker
-                (float_of_int w.rw_classes))
-            chunks
-        in
-        let tm = Dpma_obs.Clock.now_s () in
-        let table = Sig_tbl.create (2 * !num_blocks) in
-        let next = ref 0 in
-        Array.iteri
-          (fun ci { cc_keys; cc_locals } ->
-            let global = Array.make (Array.length cc_keys) 0 in
-            Array.iteri
-              (fun j key ->
-                match Sig_tbl.find_opt table key with
-                | Some id -> global.(j) <- id
-                | None ->
-                    Sig_tbl.add table key !next;
-                    global.(j) <- !next;
-                    incr next)
-              cc_keys;
-            let lo, _ = chunks.(ci) in
-            Array.iteri
-              (fun i l -> new_block.(lo + i) <- global.(l))
-              cc_locals)
-          classes;
-        M.observe I.bisim_par_merge_seconds (Dpma_obs.Clock.now_s () -. tm);
-        !next
-      end
-    in
+    Class_table.clear table;
+    (* Once most blocks are singletons, most states skip the signature
+       pass (see the header comment). *)
+    Array.fill block_size 0 !num_blocks 0;
+    Array.iter (fun b -> block_size.(b) <- block_size.(b) + 1) block;
+    if not par then
+      for s = 0 to n - 1 do
+        let b = block.(s) in
+        new_block.(s) <-
+          (if block_size.(b) = 1 then Class_table.fresh table
+           else begin
+             pass.sp_fill table block s;
+             Class_table.classify table ~old_block:b
+           end)
+      done
+    else begin
+      M.incr I.bisim_par_rounds;
+      Atomic.set next_slot 0;
+      let slots =
+        Pool.map_chunks_ordered ~jobs ~init:worker
+          ~f:(classify_chunk ~block ~block_size ~new_block)
+          ~finish:(fun w ->
+            (* Runs in the coordinating domain in worker order: the
+               branching pass merges its cache shards into the parent
+               here, before the watched-pair recomputation below reads
+               it. *)
+            w.rw_done ();
+            let k = w.rw_table.count in
+            if Array.length w.rw_global < k then
+              w.rw_global <- Array.make (max k (2 * Array.length w.rw_global)) 0;
+            Array.fill w.rw_global 0 k (-1);
+            M.observe I.bisim_par_blocks_per_worker (float_of_int k))
+          chunks
+      in
+      let tm = Dpma_obs.Clock.now_s () in
+      Array.iteri
+        (fun ci slot ->
+          let w = Option.get workers.(slot) in
+          let lo, len = chunks.(ci) in
+          for s = lo to lo + len - 1 do
+            let l = new_block.(s) in
+            new_block.(s) <-
+              (if l < 0 then Class_table.fresh table
+               else begin
+                 if w.rw_global.(l) < 0 then
+                   w.rw_global.(l) <- Class_table.merge_class table w.rw_table l;
+                 w.rw_global.(l)
+               end)
+          done)
+        slots;
+      M.observe I.bisim_par_merge_seconds (Dpma_obs.Clock.now_s () -. tm)
+    end;
+    let next = table.count in
     M.observe I.bisim_blocks_per_round (float_of_int next);
     let stop_watched =
       match watch with
@@ -241,9 +451,11 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
           (* The signatures are recomputed against the pre-round
              partition, exactly as the round that told the watched states
              apart saw them. *)
-          let sa = pass.sp_signature block wa
-          and sb = pass.sp_signature block wb in
-          split := Some (sa.ints, sb.ints);
+          pass.sp_fill table block wa;
+          let sa = Class_table.scratch_ints table in
+          pass.sp_fill table block wb;
+          let sb = Class_table.scratch_ints table in
+          split := Some (sa, sb);
           true
       | _ -> false
     in
@@ -285,21 +497,33 @@ let refine_pass ?jobs ?par_cutoff (lts : Lts.t) ~pass =
       let block, _, _ = refine_loop lts ~pass ~jobs ~par_cutoff in
       block)
 
-let refine ?jobs ?par_cutoff lts ~signature =
-  refine_pass ?jobs ?par_cutoff lts ~pass:(plain_pass signature)
+let refine ?jobs ?par_cutoff lts ~fill =
+  refine_pass ?jobs ?par_cutoff lts ~pass:(plain_pass fill)
 
-let sorted_dedup_array (l : int list) =
-  Array.of_list (List.sort_uniq Int.compare l)
+(* Drop adjacent duplicates of the sorted [a.(0 .. n - 1)] in place;
+   returns the distinct count. *)
+let dedup_sorted (a : int array) n =
+  let k = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if a.(i) <> a.(!k - 1) then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  !k
 
-let strong_signature (lts : Lts.t) block s =
-  let rec go i acc =
-    if i < lts.row.(s) then acc
-    else go (i - 1) (pack_pair lts.lab.(i) block.(lts.tgt.(i)) :: acc)
-  in
-  ints_signature (sorted_dedup_array (go (lts.row.(s + 1) - 1) []))
+let strong_fill (lts : Lts.t) table block s =
+  let lo = lts.row.(s) in
+  let d = lts.row.(s + 1) - lo in
+  let a = Class_table.ints_buffer table d in
+  for k = 0 to d - 1 do
+    a.(k) <- pack_pair lts.lab.(lo + k) block.(lts.tgt.(lo + k))
+  done;
+  Tau.sort_prefix a d;
+  Class_table.set_lengths table ~ints:(dedup_sorted a d) ~floats:0
 
 let strong_partition ?jobs ?par_cutoff lts =
-  refine ?jobs ?par_cutoff lts ~signature:(strong_signature lts)
+  refine ?jobs ?par_cutoff lts ~fill:(strong_fill lts)
 
 (* States on a common tau-cycle are weakly bisimilar (each can silently
    reach the other), so collapsing tau-SCCs before the weak pass is
@@ -327,15 +551,18 @@ let compose outer inner = Array.map (fun b -> outer.(b)) inner
    materialized saturation while never building the weak relation. The
    sweep for the trivial partition runs here, each later one in
    [sp_advance]; between sweeps the signatures are read-only, so pool
-   workers share the sequential signature function and [block] is not
+   workers share the sequential fill function and [block] is not
    consulted. Returns the pass and the sweep (for the final instrument
    flush). *)
 let weak_pass (lts : Lts.t) =
   let sweep = Tau.Weak.create lts in
   Tau.Weak.sweep sweep (Array.make lts.num_states 0);
   ( {
-      sp_signature =
-        (fun _block s -> ints_signature (Tau.Weak.signature sweep s));
+      sp_fill =
+        (fun table _block s ->
+          let len = Tau.Weak.signature_length sweep s in
+          Tau.Weak.blit_signature sweep s (Class_table.ints_buffer table len);
+          Class_table.set_lengths table ~ints:len ~floats:0);
       sp_worker = None;
       sp_advance =
         Some (fun ~old_block:_ ~new_block -> Tau.Weak.sweep sweep new_block);
@@ -368,50 +595,67 @@ let class_code kind prio =
   | 2 -> 2 + if prio >= 0 then 2 * prio else (2 * -prio) - 1
   | _ -> if kind = 3 then 1 else 0
 
-module Triple_key = struct
-  type t = int * int * int (* label, target block, rate class *)
+(* Markovian keys order by packed (label, block) pair, then rate class,
+   then edge position: the tie-break keeps equal keys in edge order, so
+   their rates add up in exactly the order the edges list them. *)
+let markovian_lt (keys : int array) a b =
+  let pa = keys.(2 * a) and pb = keys.(2 * b) in
+  pa < pb
+  || pa = pb
+     &&
+     let ca = keys.((2 * a) + 1) and cb = keys.((2 * b) + 1) in
+     ca < cb || (ca = cb && a < b)
 
-  let equal (a1, b1, c1) (a2, b2, c2) = a1 = a2 && b1 = b2 && c1 = c2
-
-  let hash (a, b, c) = (((a * 31) + b) * 31) + c
-end
-
-module Triple_tbl = Hashtbl.Make (Triple_key)
-
-let markovian_signature (lts : Lts.t) block s =
-  let table = Triple_tbl.create 8 in
-  for i = lts.row.(s) to lts.row.(s + 1) - 1 do
-    let value = if lts.rate_kind.(i) = 0 then 0.0 else lts.rate_val.(i) in
-    let key =
-      (lts.lab.(i), block.(lts.tgt.(i)),
-       class_code lts.rate_kind.(i) lts.rate_prio.(i))
-    in
-    let current = Option.value ~default:0.0 (Triple_tbl.find_opt table key) in
-    Triple_tbl.replace table key (current +. value)
+(* Per (label, target block, rate class), the rates of the state's edges
+   summed in edge order from 0.0; encoded as [pair; class] ints plus one
+   float per key, in key order. *)
+let markovian_fill (lts : Lts.t) (table : Class_table.t) block s =
+  let lo = lts.row.(s) in
+  let d = lts.row.(s + 1) - lo in
+  if Array.length table.keys < 2 * d then
+    table.keys <- Array.make (max (2 * d) (2 * Array.length table.keys)) 0;
+  if Array.length table.perm < d then
+    table.perm <- Array.make (max d (2 * Array.length table.perm)) 0;
+  let keys = table.keys and perm = table.perm in
+  for k = 0 to d - 1 do
+    let i = lo + k in
+    keys.(2 * k) <- pack_pair lts.lab.(i) block.(lts.tgt.(i));
+    keys.((2 * k) + 1) <- class_code lts.rate_kind.(i) lts.rate_prio.(i);
+    perm.(k) <- k
   done;
-  let entries = Triple_tbl.fold (fun k v acc -> (k, v) :: acc) table [] in
-  let entries =
-    List.sort
-      (fun ((a1, b1, c1), _) ((a2, b2, c2), _) ->
-        match Int.compare a1 a2 with
-        | 0 -> ( match Int.compare b1 b2 with 0 -> Int.compare c1 c2 | d -> d)
-        | d -> d)
-      entries
-  in
-  let k = List.length entries in
-  let ints = Array.make (3 * k) 0 in
-  let floats = Array.make k 0.0 in
-  List.iteri
-    (fun i ((a, b, c), v) ->
-      ints.(3 * i) <- a;
-      ints.((3 * i) + 1) <- b;
-      ints.((3 * i) + 2) <- c;
-      floats.(i) <- v)
-    entries;
-  { ints; floats }
+  if d > 16 then Tau.heapsort_by (markovian_lt keys) perm d
+  else
+    for r = 1 to d - 1 do
+      let x = perm.(r) in
+      let j = ref (r - 1) in
+      while !j >= 0 && markovian_lt keys x perm.(!j) do
+        perm.(!j + 1) <- perm.(!j);
+        decr j
+      done;
+      perm.(!j + 1) <- x
+    done;
+  let ints = Class_table.ints_buffer table (2 * d) in
+  let floats = Class_table.floats_buffer table d in
+  let m = ref 0 in
+  for r = 0 to d - 1 do
+    let k = perm.(r) in
+    let i = lo + k in
+    let value = if lts.rate_kind.(i) = 0 then 0.0 else lts.rate_val.(i) in
+    let pair = keys.(2 * k) and cls = keys.((2 * k) + 1) in
+    let last = !m - 1 in
+    if !m > 0 && ints.(2 * last) = pair && ints.((2 * last) + 1) = cls then
+      floats.(last) <- floats.(last) +. value
+    else begin
+      ints.(2 * !m) <- pair;
+      ints.((2 * !m) + 1) <- cls;
+      floats.(!m) <- 0.0 +. value;
+      incr m
+    end
+  done;
+  Class_table.set_lengths table ~ints:(2 * !m) ~floats:!m
 
 let markovian_partition ?jobs ?par_cutoff lts =
-  refine ?jobs ?par_cutoff lts ~signature:(markovian_signature lts)
+  refine ?jobs ?par_cutoff lts ~fill:(markovian_fill lts)
 
 (* Branching bisimulation via Blom–Orzan signature refinement: a state's
    signature collects the (label, target block) pairs reachable after
@@ -423,15 +667,16 @@ let markovian_partition ?jobs ?par_cutoff lts =
 let branching_pass lts =
   let cache = Tau.Branching.create lts in
   ( {
-      sp_signature =
-        (fun block s ->
-          ints_signature (Tau.Branching.signature_fn cache block s));
+      sp_fill =
+        (fun table block s ->
+          Class_table.load_ints table (Tau.Branching.signature_fn cache block s));
       sp_worker =
         Some
           (fun () ->
             let sh = Tau.Branching.shard cache in
-            ( (fun block s ->
-                ints_signature (Tau.Branching.shard_signature_fn sh block s)),
+            ( (fun table block s ->
+                Class_table.load_ints table
+                  (Tau.Branching.shard_signature_fn sh block s)),
               fun () -> Tau.Branching.merge_shard cache sh ));
       sp_advance =
         Some
@@ -626,8 +871,8 @@ let refine_watched_pass ?jobs ?par_cutoff (lts : Lts.t) ~pass ~watch =
     ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
       refine_loop ~watch lts ~pass ~jobs ~par_cutoff)
 
-let refine_watched ?jobs ?par_cutoff lts ~signature ~watch =
-  refine_watched_pass ?jobs ?par_cutoff lts ~pass:(plain_pass signature) ~watch
+let refine_watched ?jobs ?par_cutoff lts ~fill ~watch =
+  refine_watched_pass ?jobs ?par_cutoff lts ~pass:(plain_pass fill) ~watch
 
 type product_trail = {
   left : Lts.t;
@@ -718,7 +963,7 @@ let trace_product_secure ?max_states ?jobs ?par_cutoff (a : Lts.t)
       let union, ia, ib = Lts.disjoint_union da db in
       let _, rounds, split =
         refine_watched ?jobs ?par_cutoff union
-          ~signature:(strong_signature union) ~watch:(ia, ib)
+          ~fill:(strong_fill union) ~watch:(ia, ib)
       in
       record_product_exit ~rounds ~pruned:(pruned_a + pruned_b)
         (Option.is_none split);

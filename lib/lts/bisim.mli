@@ -22,17 +22,35 @@
     ({!Tau.Branching}); docs/WEAK_EQUIVALENCE.md documents the contract,
     the invalidation rule and the memory model.
 
+    {2 The class table}
+
+    Every refinement — strong, Markovian, weak, branching — runs one
+    loop: each round keys every state by (current block, signature) and
+    numbers the distinct keys densely in first-seen state order. A
+    signature pass writes the state's signature into the scratch buffer
+    of a flat open-addressing class table: strong pairs collected in
+    place, sorted and deduplicated; Markovian (label, block, rate class)
+    keys sorted with their rates summed in edge order; the weak pass's
+    swept slice or the branching cache entry copied in. The table hashes
+    and compares the buffer in place and copies it into its arenas
+    only when it opens a new class. It is allocated once per
+    refinement and cleared between rounds, so a round allocates nothing
+    per state. A state alone in its old block skips the signature pass:
+    no other state can share its key, so it opens a fresh class in
+    place.
+
     {2 Parallel refinement}
 
     Every refinement-based entry point takes [?jobs] (default
     {!Dpma_util.Pool.default_jobs}): with more than one job, each round's
     signature pass — read-only over the frozen CSR and the pre-round
-    partition — is dealt to the domain pool as contiguous state ranges,
-    and the per-chunk signature classes are merged back in state order,
-    assigning global class ids in first-seen order. The merged numbering
-    is exactly the sequential first-seen-by-state-index numbering, so
-    partitions, quotients, verdicts, and distinguishing formulas are
-    bit-identical for any job count. The weak and branching passes keep
+    partition — is dealt to the domain pool as contiguous state ranges.
+    Each worker classifies into a class table of its own, kept across
+    rounds, and the coordinator merges the workers' classes in state
+    order, assigning global class ids in first-seen order. The merged
+    numbering is exactly the sequential first-seen-by-state-index
+    numbering, so partitions, quotients, verdicts, and distinguishing
+    formulas are bit-identical for any job count. The weak and branching passes keep
     this property: weak workers read the round's sweep, which is frozen
     during the round; branching workers compute into thread-confined
     cache shards over the frozen parent cache, merged back

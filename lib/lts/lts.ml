@@ -514,18 +514,25 @@ let quotient lts block =
     trans
 
 let map_labels lts f =
-  (* Rebuild the CSR arrays directly, keeping edge order. *)
+  (* Rebuild the CSR arrays directly, keeping edge order. [f] runs once
+     per distinct label, on the label's first edge; [memo] holds its
+     answer by label id: the new label, [-1] for dropped, [-2] for not
+     asked yet. *)
   let m = num_transitions lts in
+  let memo = Array.make (1 + Array.fold_left max 0 lts.lab) (-2) in
   let keep = Array.make m false in
   let new_lab = Array.make m 0 in
   let kept = ref 0 in
   for i = 0 to m - 1 do
-    match f lts.lab.(i) with
-    | Some l ->
-        keep.(i) <- true;
-        new_lab.(i) <- l;
-        incr kept
-    | None -> ()
+    let l = lts.lab.(i) in
+    if memo.(l) = -2 then
+      memo.(l) <- (match f l with Some l' -> l' | None -> -1);
+    let l' = memo.(l) in
+    if l' >= 0 then begin
+      keep.(i) <- true;
+      new_lab.(i) <- l';
+      incr kept
+    end
   done;
   let m' = !kept in
   let row = Array.make (lts.num_states + 1) 0 in

@@ -205,7 +205,10 @@ val quotient : t -> int array -> t
     rate annotation. The result's init is [block.(lts.init)]'s class. *)
 
 val map_labels : t -> (label -> label option) -> t
-(** Relabel transitions; [None] deletes the transition (restriction). *)
+(** Relabel transitions; [None] deletes the transition (restriction).
+    [f] is applied once per distinct label of the LTS, not once per
+    edge, so it must be a function of the label alone. Edge order and
+    rates are kept. *)
 
 val hide_all_but : t -> keep:(string -> bool) -> t
 (** Turn every observable transition whose name fails [keep] into [tau]. *)

@@ -117,14 +117,74 @@ let condense (lts : Lts.t) =
   { num_comps; comp_of; tau_row; tau_tgt; mem_row; members }
 
 (* ------------------------------------------------------------------ *)
+(* Flat sorting                                                         *)
+
+(* Sift [a.(root)] down the max-heap [a.(0 .. len - 1)] ordered by [lt]. *)
+let rec sift_down lt (a : int array) root len =
+  let child = (2 * root) + 1 in
+  if child < len then begin
+    let child =
+      if child + 1 < len && lt a.(child) a.(child + 1) then child + 1
+      else child
+    in
+    if lt a.(root) a.(child) then begin
+      let x = a.(root) in
+      a.(root) <- a.(child);
+      a.(child) <- x;
+      sift_down lt a child len
+    end
+  end
+
+let heapsort_by lt (a : int array) n =
+  for i = (n / 2) - 1 downto 0 do
+    sift_down lt a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down lt a 0 last
+  done
+
+let sort_prefix (a : int array) n =
+  if n > 16 then heapsort_by (fun (x : int) y -> x < y) a n
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+let grow a need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Weak signatures: one C / W sweep per refinement round               *)
 
 module Weak = struct
   (* C and W in CSR form: component [c]'s closure is
      [c_data.(c_row.(c) .. c_row.(c + 1) - 1)], sorted and deduped, and
-     likewise for W. The data arenas and the union scratch [buf] only
-     grow, so a weak pass allocates them once and every later round
-     overwrites them in place. *)
+     likewise for W. The data arenas, the union scratch [buf] and the
+     dedup set only grow, so a weak pass allocates them once and every
+     later round overwrites them in place.
+
+     A union is deduplicated as it is pushed: [buf] receives only the
+     entries the set has not seen for the current union, so the sort at
+     flush time runs on the distinct entries, not on the multiset of
+     every tau successor's closure. The set is open-addressed with
+     linear probing; slot [i] holds [set_key.(i)] iff
+     [set_stamp.(i) = gen], so bumping [gen] empties it in O(1). It lives
+     in the record, not at module level, so refinements on different
+     domains never share it. *)
   type t = {
     lts : Lts.t;
     cond : condensation;
@@ -134,7 +194,14 @@ module Weak = struct
     mutable w_data : int array;
     mutable buf : int array;
     mutable len : int;
+    mutable set_key : int array;
+    mutable set_stamp : int array;
+    mutable gen : int;
   }
+
+  (* Initial dedup-set capacity (a power of two): unions of up to half
+     as many distinct entries never regrow it. *)
+  let set_capacity = 64
 
   let create (lts : Lts.t) =
     let cond =
@@ -153,54 +220,66 @@ module Weak = struct
       c_data = Array.make (max 1 k) 0;
       w_row = Array.make (k + 1) 0;
       w_data = Array.make (max 1 (k + Lts.num_transitions lts)) 0;
-      buf = Array.make 256 0;
+      buf = Array.make set_capacity 0;
       len = 0;
+      set_key = Array.make set_capacity 0;
+      set_stamp = Array.make set_capacity 0;
+      gen = 1;
     }
 
-  let grow a need =
-    if need <= Array.length a then a
-    else begin
-      let b = Array.make (max need (2 * Array.length a)) 0 in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    end
+  (* Packed pairs differ from each other in their high (label) bits as
+     often as in their low (block) bits: fold the high half of the
+     product down before masking. *)
+  let slot x mask =
+    let h = x * 0x2545_F491_4F6C_DD1D in
+    (h lxor (h lsr 29)) land mask
+
+  (* Insert [x] into the current union's set; [true] iff it was new. *)
+  let insert t x =
+    let mask = Array.length t.set_key - 1 in
+    let i = ref (slot x mask) in
+    let result = ref 0 in
+    while !result = 0 do
+      if t.set_stamp.(!i) <> t.gen then begin
+        t.set_stamp.(!i) <- t.gen;
+        t.set_key.(!i) <- x;
+        result := 1
+      end
+      else if t.set_key.(!i) = x then result := 2
+      else i := (!i + 1) land mask
+    done;
+    !result = 1
+
+  (* Double the set and re-insert the union so far: [buf] holds exactly
+     its distinct entries. *)
+  let grow_set t =
+    let cap = 2 * Array.length t.set_key in
+    t.set_key <- Array.make cap 0;
+    t.set_stamp <- Array.make cap 0;
+    for i = 0 to t.len - 1 do
+      ignore (insert t t.buf.(i))
+    done
 
   let push t x =
-    if t.len = Array.length t.buf then t.buf <- grow t.buf (t.len + 1);
-    t.buf.(t.len) <- x;
-    t.len <- t.len + 1
-
-  (* Sort and dedup the scratch union in place, append it to [data] at
-     [pos], and return the (possibly regrown) arena. Insertion sort
-     covers the short unions of tau-thin models without allocating. *)
-  let flush t data pos =
-    let a = t.buf and n = t.len in
-    if n > 16 then begin
-      let tmp = Array.sub a 0 n in
-      Array.sort Int.compare tmp;
-      Array.blit tmp 0 a 0 n
+    if insert t x then begin
+      if t.len = Array.length t.buf then t.buf <- grow t.buf (t.len + 1);
+      t.buf.(t.len) <- x;
+      t.len <- t.len + 1;
+      if 2 * t.len > Array.length t.set_key then grow_set t
     end
-    else
-      for i = 1 to n - 1 do
-        let x = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && a.(!j) > x do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- x
-      done;
-    let k = ref (min n 1) in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(!k - 1) then begin
-        a.(!k) <- a.(i);
-        incr k
-      end
+
+  (* Sort the union's distinct entries, append them to [data] at [pos],
+     empty the set, and return the (possibly regrown) arena. *)
+  let flush t data pos =
+    let n = t.len in
+    sort_prefix t.buf n;
+    let data = grow data (pos + n) in
+    for k = 0 to n - 1 do
+      data.(pos + k) <- t.buf.(k)
     done;
-    let data = grow data (pos + !k) in
-    Array.blit a 0 data pos !k;
     t.len <- 0;
-    (data, pos + !k)
+    t.gen <- t.gen + 1;
+    (data, pos + n)
 
   let sweep t block =
     let cond = t.cond and lts = t.lts in
@@ -256,9 +335,16 @@ module Weak = struct
     done;
     t.w_row.(k) <- !pos
 
-  let signature t s =
+  let signature_length t s =
     let c = t.cond.comp_of.(s) in
-    Array.sub t.w_data t.w_row.(c) (t.w_row.(c + 1) - t.w_row.(c))
+    t.w_row.(c + 1) - t.w_row.(c)
+
+  let blit_signature t s dst =
+    let c = t.cond.comp_of.(s) in
+    let lo = t.w_row.(c) in
+    for k = 0 to t.w_row.(c + 1) - lo - 1 do
+      dst.(k) <- t.w_data.(lo + k)
+    done
 
   let record t =
     let module I = Dpma_obs.Instruments in
@@ -267,6 +353,7 @@ module Weak = struct
     let words =
       Array.length t.c_row + Array.length t.c_data + Array.length t.w_row
       + Array.length t.w_data + Array.length t.buf
+      + Array.length t.set_key + Array.length t.set_stamp
     in
     M.set I.bisim_tau_components (float_of_int t.cond.num_comps);
     M.set I.bisim_tau_closure_bytes (float_of_int (8 * words))

@@ -34,12 +34,26 @@ type condensation = {
     under a ["bisim.tau.condense"] span. Linear in states + edges. *)
 val condense : Lts.t -> condensation
 
+(** {1 Flat sorting}
+
+    In-place sorts over an array prefix, shared by the weak sweep and
+    {!Bisim}'s signature passes: neither allocates. *)
+
+(** [sort_prefix a n] sorts [a.(0 .. n - 1)] ascending: insertion sort
+    up to 16 elements, {!heapsort_by} above. *)
+val sort_prefix : int array -> int -> unit
+
+(** [heapsort_by lt a n] sorts [a.(0 .. n - 1)] under the strict order
+    [lt]. Not stable: give [lt] a tie-break when equal keys must keep
+    their input order. *)
+val heapsort_by : (int -> int -> bool) -> int array -> int -> unit
+
 (** {1 Weak signature sweep} *)
 
 (** Per-component tau-closure block sets [C] and full weak signatures
     [W] of one partition, held in flat offset/data arenas. After
-    [sweep t block], {!Weak.signature}[ t s] returns exactly the sorted,
-    deduplicated packed-pair array that
+    [sweep t block], {!Weak.blit_signature}[ t s] copies out exactly the
+    sorted, deduplicated packed-pair array that
     [strong_signature (saturate lts) block s] would produce — so signature
     refinement over the sweep is round-for-round bit-identical to strong
     refinement of the materialized saturation. *)
@@ -52,17 +66,25 @@ module Weak : sig
 
   (** [sweep t block] recomputes [C] and [W] of every component under
       partition [block]: one ascending pass over the components for [C],
-      a second for [W]. Linear in the condensation plus the output. *)
+      a second for [W]. Each union is deduplicated as it is pushed,
+      through a generation-stamped set owned by [t], so only its
+      distinct entries are sorted. Linear in the condensation plus the
+      pushed entries, plus the sorts of the distinct ones. *)
   val sweep : t -> int array -> unit
 
-  (** [signature t s] is the weak signature of [s] under the partition
-      of the last {!sweep}, as a fresh array. Read-only on [t], so pool
+  (** [signature_length t s] is the length of [s]'s weak signature under
+      the partition of the last {!sweep}. *)
+  val signature_length : t -> int -> int
+
+  (** [blit_signature t s dst] copies [s]'s weak signature to
+      [dst.(0 .. signature_length t s - 1)]. Read-only on [t], so pool
       workers may call it concurrently between sweeps. *)
-  val signature : t -> int -> int array
+  val blit_signature : t -> int -> int array -> unit
 
   (** Set [bisim.tau.components] to the component count and
-      [bisim.tau.closure_bytes_peak] to the bytes the arenas hold — their
-      high-water mark, since they only grow. *)
+      [bisim.tau.closure_bytes_peak] to the bytes the arenas, the union
+      buffer and the dedup set hold — their high-water mark, since they
+      only grow. *)
   val record : t -> unit
 end
 

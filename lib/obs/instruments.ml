@@ -168,7 +168,7 @@ let bisim_par_blocks_per_worker =
 let bisim_par_merge_seconds =
   h ~unit_:"seconds"
     ~desc:
-      "time the coordinator spent merging per-chunk signature classes in \
+      "time the coordinator spent merging per-worker signature classes in \
        state order, per parallel round"
     "bisim.par.merge.seconds"
 
@@ -212,7 +212,8 @@ let bisim_tau_closure_bytes =
   g ~unit_:"bytes"
     ~desc:
       "closure memory of the last weak or branching refinement: weak sweep \
-       arena high-water mark, or peak interned branching payload"
+       arenas plus union buffer and dedup set (high-water mark), or peak \
+       interned branching payload"
     "bisim.tau.closure_bytes_peak"
 
 (* Noninterference product refiner *)

@@ -147,13 +147,13 @@ val bisim_par_rounds : Metrics.counter
 
 val bisim_par_blocks_per_worker : Metrics.histogram
 (** [bisim.par.blocks_per_worker] — distinct signature classes produced
-    by one worker in one parallel refinement round (summed over the
-    chunks the worker claimed); skew across workers indicates chunking
-    imbalance. *)
+    by one worker in one parallel refinement round (over all the chunks
+    the worker claimed, as its class table holds them); skew across
+    workers indicates chunking imbalance. *)
 
 val bisim_par_merge_seconds : Metrics.histogram
 (** [bisim.par.merge.seconds] — time the coordinator spent merging the
-    per-chunk signature classes in state order, per parallel round. *)
+    per-worker signature classes in state order, per parallel round. *)
 
 val bisim_par_seq_fallbacks : Metrics.counter
 (** [bisim.par.seq_fallbacks] — refinement fixpoints that ran
@@ -186,7 +186,8 @@ val bisim_tau_cache_invalidations : Metrics.counter
 val bisim_tau_closure_bytes : Metrics.gauge
 (** [bisim.tau.closure_bytes_peak] — closure memory of the last weak or
     branching refinement: the high-water mark of the weak sweep's
-    arenas, or the peak bytes interned by the branching cache (see
+    arenas, union buffer and dedup set, or the peak bytes interned by
+    the branching cache (see
     docs/WEAK_EQUIVALENCE.md). *)
 
 (** {1 Noninterference product refiner (ni)} *)

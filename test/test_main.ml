@@ -14,6 +14,7 @@ let () =
       ("spill", Test_spill.suite);
       ("parallel-refine", Test_parallel_refine.suite);
       ("weak-lazy", Test_weak_lazy.suite);
+      ("refine-oracle", Test_refine_oracle.suite);
       ("ctmc", Test_ctmc.suite);
       ("sim", Test_sim.suite);
       ("adl", Test_adl.suite);

@@ -247,7 +247,9 @@ let check_sweep name lts =
     (fun (pname, block) ->
       Tau.Weak.sweep sweep block;
       for s = 0 to n - 1 do
-        if Tau.Weak.signature sweep s <> strong_signature sat block s then
+        let swept = Array.make (Tau.Weak.signature_length sweep s) 0 in
+        Tau.Weak.blit_signature sweep s swept;
+        if swept <> strong_signature sat block s then
           Alcotest.failf "%s, %s partition: weak signature of state %d" name
             pname s
       done)
@@ -269,6 +271,24 @@ let tau_dense_rings =
        ( "ring, ticks visible",
          Lts.hide_all_but lts ~keep:(String.ends_with ~suffix:".tick") ) ])
 
+(* A tau-star: a hub with tau edges to [leaves] leaves, each leaf with
+   its own observable label into a common deadlock state — and, with
+   [back], a tau edge back to the hub, which makes hub and leaves one
+   tau-SCC. Either way the hub's weak signature unions [leaves + 1]
+   distinct pairs even under the trivial partition: more than the weak
+   sweep's dedup set holds before its first regrowth (64 slots). *)
+let tau_star ~leaves ~back =
+  let sink = leaves + 1 in
+  let tau target = { Lts.label = Lts.tau; rate = None; target } in
+  Lts.make ~init:0 ~state_name:string_of_int
+    (Array.init (leaves + 2) (fun s ->
+         if s = 0 then List.init leaves (fun i -> tau (i + 1))
+         else if s = sink then []
+         else
+           { Lts.label = Lts.obs (Printf.sprintf "leaf%d" s); rate = None;
+             target = sink }
+           :: (if back then [ tau 0 ] else [])))
+
 let test_sweep_vs_saturation () =
   check_sweep "rpc" (Lazy.force rpc_lts);
   check_sweep "streaming" (Lazy.force small_streaming_lts);
@@ -279,7 +299,14 @@ let test_sweep_vs_saturation () =
         (cond.Tau.num_comps < ring.Lts.num_states
         && cond.Tau.tau_row.(cond.Tau.num_comps) > 0);
       check_sweep name ring)
-    (Lazy.force tau_dense_rings)
+    (Lazy.force tau_dense_rings);
+  List.iter
+    (fun (name, back, comps) ->
+      let star = tau_star ~leaves:100 ~back in
+      Alcotest.(check int) (name ^ ": tau-SCCs") comps
+        (Tau.condense star).Tau.num_comps;
+      check_sweep name star)
+    [ ("tau-star fan-out", false, 102); ("tau-star cycle", true, 2) ]
 
 (* On tau-free models weak and strong bisimilarity coincide, and the
    weak pass must find the strong partition with the same numbering:
