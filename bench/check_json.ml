@@ -41,8 +41,6 @@ let required =
     "bisim.tau.components";
     "bisim.tau.cache_hits";
     "bisim.tau.cache_misses";
-    "bisim.tau.cache_remaps";
-    "bisim.tau.cache_invalidations";
     "bisim.tau.closure_bytes_peak";
     "ni.product.states_pruned";
     "ni.product.rounds";
@@ -106,6 +104,10 @@ let () =
                   "bisim.markovian_refine_seconds.j1";
                   "bisim.markovian_refine_seconds.j2";
                   "bisim.markovian_refine_seconds.j4";
+                  (* the branching leg, gated against its j1 run *)
+                  "bisim.branching_refine_seconds.j1";
+                  "bisim.branching_refine_seconds.j2";
+                  "bisim.branching_refine_seconds.j4";
                   (* the lazy weak sweep (legs checked bit-identical
                      across job counts by the bench itself) *)
                   "bisim.weak_refine_seconds.j1";
@@ -136,6 +138,9 @@ let () =
               "bisim.markovian_refine_seconds.j1";
               "bisim.markovian_refine_seconds.j2";
               "bisim.markovian_refine_seconds.j4";
+              "bisim.branching_refine_seconds.j1";
+              "bisim.branching_refine_seconds.j2";
+              "bisim.branching_refine_seconds.j4";
               "bisim.weak_refine_seconds.j1"; "bisim.weak_refine_seconds.j2";
               "bisim.weak_refine_seconds.j4";
               (* closure-arena high-water mark of the weak sweep: the

@@ -264,59 +264,19 @@ let check_build_regression name sweep =
         rest
   | [] -> ()
 
-(* The refinement loop's jobs scaling, next to the builder's: the
-   coarsest strong-bisimulation partition (bisim.refine_seconds.jN) and
-   the ordinary-lumpability partition (bisim.markovian_refine_seconds.jN)
-   of the study's full LTS at 1, 2 and 4 jobs. The partitions must be
-   bit-identical — the parallel signature pass merges per-worker classes
-   in state order — so the sweep doubles as a differential check of
-   both signature kinds, the Markovian one with its rate sums. *)
-let refine_sweep name (lts : Lts.t) =
-  let leg kind key partition =
-    let results =
-      List.map
-        (fun j ->
-          Gc.full_major ();
-          let t0 = Unix.gettimeofday () in
-          let p = partition ~jobs:j lts in
-          let dt = Unix.gettimeofday () -. t0 in
-          (j, p, dt))
-        jobs_sweep
-    in
-    (match results with
-    | (_, first, _) :: rest ->
-        List.iter
-          (fun (j, p, _) ->
-            if p <> first then begin
-              Printf.eprintf
-                "[bench] JOBS MISMATCH %s: %s partition differs at j%d\n%!"
-                name kind j;
-              exit 1
-            end)
-          rest
-    | [] -> ());
-    List.map (fun (j, _, dt) -> (Printf.sprintf "%s.j%d" key j, dt)) results
-  in
-  leg "strong" "bisim.refine_seconds" (fun ~jobs lts ->
-      Bisim.strong_partition ~jobs lts)
-  @ leg "markovian" "bisim.markovian_refine_seconds" (fun ~jobs lts ->
-        Bisim.markovian_partition ~jobs lts)
-
-(* The weak path next to the strong one: the weak-bisimulation
-   partition of the study's functional LTS at 1, 2 and 4 jobs
-   (bisim.weak_refine_seconds.jN). The partitions must be bit-identical
-   across job counts — the standing determinism differential now that
-   the materialized-saturation oracle is gone (test/test_weak_lazy.ml
-   keeps a reconstructed oracle differential on small models). The
-   parallel legs run under the same no-slower-than-sequential rule as
-   the builder (10% relative plus 250 ms absolute slack). *)
-let weak_sweep name (lts : Lts.t) =
+(* One refinement at 1, 2 and 4 jobs, as "<key>.jN" entries. The
+   partitions must be bit-identical across job counts — the parallel
+   signature pass merges per-worker classes in state order — so every
+   leg doubles as a differential check of its signature kind. A [gated]
+   leg must also never lose to its j1 run beyond timing noise (10%
+   relative plus 250 ms absolute slack, as for the build). *)
+let jobs_leg ?(gated = false) name (lts : Lts.t) ~kind ~key partition =
   let results =
     List.map
       (fun j ->
         Gc.full_major ();
         let t0 = Unix.gettimeofday () in
-        let p = Bisim.weak_partition ~jobs:j lts in
+        let p = partition ~jobs:j lts in
         let dt = Unix.gettimeofday () -. t0 in
         (j, p, dt))
       jobs_sweep
@@ -327,22 +287,48 @@ let weak_sweep name (lts : Lts.t) =
         (fun (j, p, tj) ->
           if p <> first then begin
             Printf.eprintf
-              "[bench] JOBS MISMATCH %s: weak partition differs at j%d\n%!"
-              name j;
+              "[bench] JOBS MISMATCH %s: %s partition differs at j%d\n%!"
+              name kind j;
             exit 1
           end;
-          if tj > (1.1 *. t1) +. 0.25 then begin
+          if gated && tj > (1.1 *. t1) +. 0.25 then begin
             Printf.eprintf
-              "[bench] WEAK REGRESSION %s: %.3f s at j%d vs %.3f s at j1\n%!"
-              name tj j t1;
+              "[bench] %s REGRESSION %s: %.3f s at j%d vs %.3f s at j1\n%!"
+              (String.uppercase_ascii kind) name tj j t1;
             exit 1
           end)
         rest
   | [] -> ());
-  List.map
-    (fun (j, _, dt) ->
-      (Printf.sprintf "bisim.weak_refine_seconds.j%d" j, dt))
-    results
+  List.map (fun (j, _, dt) -> (Printf.sprintf "%s.j%d" key j, dt)) results
+
+(* The refinement loop's jobs scaling, next to the builder's, on the
+   study's full LTS: the coarsest strong-bisimulation partition
+   (bisim.refine_seconds.jN), the ordinary-lumpability partition
+   (bisim.markovian_refine_seconds.jN, a differential check of the rate
+   sums too) and the branching-bisimulation partition
+   (bisim.branching_refine_seconds.jN, gated like the weak sweep).
+   Branching refinement runs its rounds on one job unless given a
+   cutoff, so this leg passes [~par_cutoff:0]: its j2/j4 runs take the
+   parallel rounds, and the partition check covers their merge at bench
+   scale. *)
+let refine_sweep name (lts : Lts.t) =
+  jobs_leg name lts ~kind:"strong" ~key:"bisim.refine_seconds"
+    (fun ~jobs lts -> Bisim.strong_partition ~jobs lts)
+  @ jobs_leg name lts ~kind:"markovian" ~key:"bisim.markovian_refine_seconds"
+      (fun ~jobs lts -> Bisim.markovian_partition ~jobs lts)
+  @ jobs_leg ~gated:true name lts ~kind:"branching"
+      ~key:"bisim.branching_refine_seconds"
+      (fun ~jobs lts -> Bisim.branching_partition ~jobs ~par_cutoff:0 lts)
+
+(* The weak path next to the strong one: the weak-bisimulation
+   partition of the study's functional LTS at 1, 2 and 4 jobs
+   (bisim.weak_refine_seconds.jN), bit-identical across job counts — the
+   standing determinism differential now that the
+   materialized-saturation oracle is gone (test/test_weak_lazy.ml keeps
+   a reconstructed oracle differential on small models) — and gated. *)
+let weak_sweep name (lts : Lts.t) =
+  jobs_leg ~gated:true name lts ~kind:"weak" ~key:"bisim.weak_refine_seconds"
+    (fun ~jobs lts -> Bisim.weak_partition ~jobs lts)
 
 let study_timings () =
   let check what expected actual =

@@ -26,23 +26,26 @@ let assess ?(sim_params = General.default_sim_params) ?max_states ?jobs study =
   let span = Dpma_obs.Trace.with_span in
   span "pipeline.assess"
     ~attrs:[ ("study", Dpma_obs.Trace.Str study.study_name) ] (fun () ->
-  let functional =
-    Option.value ~default:study.spec study.functional_spec
-  in
-  let verdict, trace_secure, branching_secure =
+  let functional_lts, verdict, trace_secure, branching_secure =
     span "pipeline.functional" (fun () ->
-        let verdict =
-          Noninterference.check_spec ?max_states ?jobs functional
-            ~high:study.high ~low:study.low
+        let functional_lts =
+          Lts.of_spec ?max_states ?jobs
+            (Option.value ~default:study.spec study.functional_spec)
         in
-        let functional_lts = Lts.of_spec ?max_states ?jobs functional in
         let high a = List.exists (String.equal a) study.high
         and low a = List.exists (String.equal a) study.low in
-        ( verdict,
+        ( functional_lts,
+          Noninterference.check_lts ?jobs functional_lts ~high ~low,
           Noninterference.trace_secure ?jobs functional_lts ~high ~low,
           Noninterference.branching_secure ?jobs functional_lts ~high ~low ))
   in
-  let lts = Lts.of_spec ?max_states ?jobs study.spec in
+  (* Without a separate functional model, every phase runs on one
+     build; otherwise the functional LTS is dead by now. *)
+  let lts =
+    match study.functional_spec with
+    | None -> functional_lts
+    | Some _ -> Lts.of_spec ?max_states ?jobs study.spec
+  in
   let lts_without = Markov.without_dpm lts ~high:study.high in
   let markovian_with_dpm, markovian_without_dpm =
     span "pipeline.markovian" (fun () ->

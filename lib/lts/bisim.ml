@@ -95,12 +95,6 @@ module Class_table = struct
     t.len <- ints;
     t.flen <- floats
 
-  (* Load a ready-made int-only signature into the scratch buffer. *)
-  let load_ints t a =
-    let n = Array.length a in
-    Array.blit a 0 (ints_buffer t n) 0 n;
-    set_lengths t ~ints:n ~floats:0
-
   let scratch_ints t = Array.sub t.ints 0 t.len
 
   let clear t =
@@ -286,24 +280,22 @@ let refine_par_cutoff ~jobs:_ =
 type fill = Class_table.t -> int array -> int -> unit
 
 (* A signature pass abstracts how the refinement loop obtains a state's
-   signature, so stateless signatures (strong, Markovian), the swept weak
-   signatures and the cached branching signatures share one driver.
-   [sp_fill] is the sequential path, also used by the coordinator
-   (watched-pair recomputation) and by pool workers when [sp_worker] is
-   absent. [sp_worker], when present, creates a per-worker fill function
-   plus a completion hook run from the coordinating domain after the
-   worker's chunks are done (the branching pass hands out cache shards
-   here and merges them back in the hook). [sp_advance], when present,
-   is called between rounds — with the pre- and post-round partitions —
-   so the weak pass can re-sweep and the branching pass can carry or
-   invalidate its entries before block ids change meaning. *)
+   signature, so stateless signatures (strong, Markovian) and the swept
+   weak and branching signatures share one driver. [sp_fill] serves the
+   sequential path, the pool workers and the coordinator's watched-pair
+   recomputation alike: it is read-only between rounds. [sp_advance],
+   when present, is called between rounds with the post-round partition,
+   so a swept pass can re-sweep before the next round reads it.
+   [sp_par_cutoff] is the pass's [par_cutoff] when the caller gives
+   none. *)
 type sig_pass = {
   sp_fill : fill;
-  sp_worker : (unit -> fill * (unit -> unit)) option;
-  sp_advance : (old_block:int array -> new_block:int array -> unit) option;
+  sp_advance : (int array -> unit) option;
+  sp_par_cutoff : jobs:int -> int;
 }
 
-let plain_pass fill = { sp_fill = fill; sp_worker = None; sp_advance = None }
+let plain_pass fill =
+  { sp_fill = fill; sp_advance = None; sp_par_cutoff = refine_par_cutoff }
 
 (* A pool worker's state, kept across the rounds of one refinement:
    its class table and the map from its local classes to the round's
@@ -312,19 +304,17 @@ type refine_worker = {
   rw_slot : int;
   rw_table : Class_table.t;
   mutable rw_global : int array;
-  mutable rw_fill : fill;
-  mutable rw_done : unit -> unit;
 }
 
 (* States alone in their old block are left to the coordinator, marked
    [-1]: see [refine_loop]. *)
-let classify_chunk ~block ~block_size ~new_block w (lo, len) =
+let classify_chunk ~fill ~block ~block_size ~new_block w (lo, len) =
   let t = w.rw_table in
   for s = lo to lo + len - 1 do
     let b = block.(s) in
     if block_size.(b) = 1 then new_block.(s) <- -1
     else begin
-      w.rw_fill t block s;
+      fill t block s;
       new_block.(s) <- Class_table.classify t ~old_block:b
     end
   done;
@@ -360,19 +350,12 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
       | None ->
           let w =
             { rw_slot = slot; rw_table = Class_table.create ();
-              rw_global = [||]; rw_fill = pass.sp_fill;
-              rw_done = (fun () -> ()) }
+              rw_global = [||] }
           in
           workers.(slot) <- Some w;
           w
     in
     Class_table.clear w.rw_table;
-    (match pass.sp_worker with
-    | Some mk ->
-        let fill, finish = mk () in
-        w.rw_fill <- fill;
-        w.rw_done <- finish
-    | None -> ());
     w
   in
   let block = Array.make n 0 in
@@ -411,13 +394,8 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
       Atomic.set next_slot 0;
       let slots =
         Pool.map_chunks_ordered ~jobs ~init:worker
-          ~f:(classify_chunk ~block ~block_size ~new_block)
+          ~f:(classify_chunk ~fill:pass.sp_fill ~block ~block_size ~new_block)
           ~finish:(fun w ->
-            (* Runs in the coordinating domain in worker order: the
-               branching pass merges its cache shards into the parent
-               here, before the watched-pair recomputation below reads
-               it. *)
-            w.rw_done ();
             let k = w.rw_table.count in
             if Array.length w.rw_global < k then
               w.rw_global <- Array.make (max k (2 * Array.length w.rw_global)) 0;
@@ -466,12 +444,8 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
     end
     else if next = !num_blocks then continue_ := false
     else begin
-      (* Another round is coming: let a stateful pass re-sweep or carry
-         its entries across the renumbering before old block ids lose
-         meaning. *)
-      (match pass.sp_advance with
-      | Some adv -> adv ~old_block:block ~new_block
-      | None -> ());
+      (* Another round is coming: let a swept pass re-sweep. *)
+      (match pass.sp_advance with Some adv -> adv new_block | None -> ());
       num_blocks := next;
       Array.blit new_block 0 block 0 n
     end
@@ -479,19 +453,19 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
   M.set I.bisim_blocks (float_of_int !num_blocks);
   (block, !rounds, !split)
 
-let resolve_pool ?jobs ?par_cutoff () =
+let resolve_pool ?jobs ?par_cutoff pass =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in
   let par_cutoff =
     match par_cutoff with
     | Some c -> max 0 c
-    | None -> refine_par_cutoff ~jobs
+    | None -> pass.sp_par_cutoff ~jobs
   in
   (jobs, par_cutoff)
 
 let refine_pass ?jobs ?par_cutoff (lts : Lts.t) ~pass =
-  let jobs, par_cutoff = resolve_pool ?jobs ?par_cutoff () in
+  let jobs, par_cutoff = resolve_pool ?jobs ?par_cutoff pass in
   Dpma_obs.Trace.with_span "bisim.refine"
     ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
       let block, _, _ = refine_loop lts ~pass ~jobs ~par_cutoff in
@@ -525,66 +499,59 @@ let strong_fill (lts : Lts.t) table block s =
 let strong_partition ?jobs ?par_cutoff lts =
   refine ?jobs ?par_cutoff lts ~fill:(strong_fill lts)
 
-(* States on a common tau-cycle are weakly bisimilar (each can silently
-   reach the other), so collapsing tau-SCCs before the weak pass is
-   sound for weak equivalence and shrinks the LTS it condenses. *)
-let tau_scc_partition (lts : Lts.t) =
-  let tau_succ s =
-    let rec go i acc =
-      if i < lts.row.(s) then acc
-      else
-        go (i - 1)
-          (if lts.lab.(i) = Lts.tau then lts.tgt.(i) :: acc else acc)
-    in
-    go (lts.row.(s + 1) - 1) []
-  in
-  let comps = Dpma_util.Scc.tarjan ~succ:tau_succ lts.num_states in
-  Dpma_util.Scc.component_index ~n:lts.num_states comps
+(* [outer] after [inner], written over [inner]: both callers own a fresh
+   [inner], so composing allocates nothing. *)
+let compose outer inner =
+  Array.iteri (fun s b -> inner.(s) <- outer.(b)) inner;
+  inner
 
-let compose outer inner = Array.map (fun b -> outer.(b)) inner
+(* Pre-reduction for the weak pass: strongly bisimilar states are weakly
+   bisimilar, and so are states on a common tau-cycle (each can silently
+   reach the other). Both quotients are cheap and shrink the LTS the
+   weak pass condenses. Returns the reduced LTS and the partition
+   mapping each input state to its reduced state. *)
+let weak_reduce ?jobs ?par_cutoff lts =
+  let p1 = strong_partition ?jobs ?par_cutoff lts in
+  let l1 = Lts.quotient lts p1 in
+  let p2 = Tau.components l1 in
+  (Lts.quotient l1 p2, compose p2 p1)
 
-(* Weak signatures: [Tau.Weak] sweeps the tau-SCC condensation once per
-   round, producing for each state exactly the strong signature it would
-   carry on the saturated LTS (see lib/lts/tau.ml and
-   docs/WEAK_EQUIVALENCE.md), so refinement through this pass is
-   round-for-round bit-identical to strong refinement of the
-   materialized saturation while never building the weak relation. The
-   sweep for the trivial partition runs here, each later one in
+(* Weak and branching signatures: a [Tau.Sweep] recomputes every
+   component's signature once per round over the tau-SCC condensation
+   (see lib/lts/tau.ml and docs/WEAK_EQUIVALENCE.md). Weak signatures
+   are exactly the strong signatures of the saturated LTS, so weak
+   refinement is round-for-round bit-identical to strong refinement of
+   the materialized saturation while never building the weak relation.
+   The sweep for the trivial partition runs here, each later one in
    [sp_advance]; between sweeps the signatures are read-only, so pool
    workers share the sequential fill function and [block] is not
    consulted. Returns the pass and the sweep (for the final instrument
    flush). *)
-let weak_pass (lts : Lts.t) =
-  let sweep = Tau.Weak.create lts in
-  Tau.Weak.sweep sweep (Array.make lts.num_states 0);
+let swept_pass ~par_cutoff sweep_fn (lts : Lts.t) =
+  let sweep = Tau.Sweep.create lts in
+  sweep_fn sweep (Array.make lts.num_states 0);
   ( {
       sp_fill =
         (fun table _block s ->
-          let len = Tau.Weak.signature_length sweep s in
-          Tau.Weak.blit_signature sweep s (Class_table.ints_buffer table len);
+          let len = Tau.Sweep.signature_length sweep s in
+          Tau.Sweep.blit_signature sweep s (Class_table.ints_buffer table len);
           Class_table.set_lengths table ~ints:len ~floats:0);
-      sp_worker = None;
-      sp_advance =
-        Some (fun ~old_block:_ ~new_block -> Tau.Weak.sweep sweep new_block);
+      sp_advance = Some (sweep_fn sweep);
+      sp_par_cutoff = par_cutoff;
     },
     sweep )
 
-let weak_refine ?jobs ?par_cutoff lts =
-  let pass, sweep = weak_pass lts in
+let weak_pass = swept_pass ~par_cutoff:refine_par_cutoff Tau.Sweep.weak
+
+let swept_partition pass_of ?jobs ?par_cutoff lts =
+  let pass, sweep = pass_of lts in
   let p = refine_pass ?jobs ?par_cutoff lts ~pass in
-  Tau.Weak.record sweep;
+  Tau.Sweep.record sweep;
   p
 
 let weak_partition ?jobs ?par_cutoff lts =
-  (* Pre-reduce: strongly bisimilar states are weakly bisimilar, and so
-     are tau-SCC members; both quotients are cheap and shrink the LTS the
-     weak pass condenses. *)
-  let p1 = strong_partition ?jobs ?par_cutoff lts in
-  let l1 = Lts.quotient lts p1 in
-  let p2 = tau_scc_partition l1 in
-  let l2 = Lts.quotient l1 p2 in
-  let p3 = weak_refine ?jobs ?par_cutoff l2 in
-  compose p3 (compose p2 p1)
+  let reduced, p = weak_reduce ?jobs ?par_cutoff lts in
+  compose (swept_partition weak_pass ?jobs ?par_cutoff reduced) p
 
 (* For lumping, transitions to the same block accumulate: exponential rates
    add up; immediate weights add up per priority; passive weights add up.
@@ -661,35 +628,20 @@ let markovian_partition ?jobs ?par_cutoff lts =
    signature collects the (label, target block) pairs reachable after
    internal stuttering *within its own current block*; inert tau steps
    (same-block) are excluded. The fixpoint of this refinement is the
-   coarsest branching bisimulation. The signature computation lives in
-   [Tau.Branching], memoized per state and carried across rounds when
-   neither the state's own block nor any mentioned block splits. *)
-let branching_pass lts =
-  let cache = Tau.Branching.create lts in
-  ( {
-      sp_fill =
-        (fun table block s ->
-          Class_table.load_ints table (Tau.Branching.signature_fn cache block s));
-      sp_worker =
-        Some
-          (fun () ->
-            let sh = Tau.Branching.shard cache in
-            ( (fun table block s ->
-                Class_table.load_ints table
-                  (Tau.Branching.shard_signature_fn sh block s)),
-              fun () -> Tau.Branching.merge_shard cache sh ));
-      sp_advance =
-        Some
-          (fun ~old_block ~new_block ->
-            Tau.Branching.advance cache ~old_block ~new_block);
-    },
-    cache )
+   coarsest branching bisimulation. Members of a tau-SCC share a block
+   in every round, so the sweep computes the signature once per
+   component, like the weak one.
+
+   A parallel branching round would only deal out the class-table
+   lookups — which the coordinator's merge walk repeats in state order —
+   at the cost of the pool's per-round spawn, so by default no state
+   count is worth it (an explicit [par_cutoff] still applies; the tests
+   pass 0 to exercise the parallel merge on branching signatures). *)
+let branching_pass =
+  swept_pass ~par_cutoff:(fun ~jobs:_ -> max_int) Tau.Sweep.branching
 
 let branching_partition ?jobs ?par_cutoff lts =
-  let pass, cache = branching_pass lts in
-  let p = refine_pass ?jobs ?par_cutoff lts ~pass in
-  Tau.Branching.record cache;
-  p
+  swept_partition branching_pass ?jobs ?par_cutoff lts
 
 let branching_equivalent ?jobs ?par_cutoff a b =
   let union, ia, ib = Lts.disjoint_union a b in
@@ -866,7 +818,7 @@ let restrict_reachable (lts : Lts.t) =
    signatures that split them — or as soon as the partition is stable,
    whichever comes first. Returns [(partition, rounds, split)]. *)
 let refine_watched_pass ?jobs ?par_cutoff (lts : Lts.t) ~pass ~watch =
-  let jobs, par_cutoff = resolve_pool ?jobs ?par_cutoff () in
+  let jobs, par_cutoff = resolve_pool ?jobs ?par_cutoff pass in
   Dpma_obs.Trace.with_span "bisim.refine"
     ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
       refine_loop ~watch lts ~pass ~jobs ~par_cutoff)
@@ -893,16 +845,6 @@ let record_product_exit ~rounds ~pruned secure =
   Dpma_obs.Metrics.incr
     (if secure then I.ni_product_secure_exits else I.ni_product_insecure_exits)
 
-(* Strong quotient then tau-SCC collapse: both preserve weak
-   bisimilarity and shrink the union the weak pass refines. The same
-   pre-reduction [weak_partition] applies to a materialized union, here
-   performed per side so the unreduced union never exists. *)
-let weak_reduce ?jobs ?par_cutoff lts =
-  let p1 = strong_partition ?jobs ?par_cutoff lts in
-  let l1 = Lts.quotient lts p1 in
-  let p2 = tau_scc_partition l1 in
-  Lts.quotient l1 p2
-
 let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
   Dpma_obs.Trace.with_span "bisim.product"
     ~attrs:
@@ -910,8 +852,10 @@ let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
     (fun () ->
       let ra, pruned_a = restrict_reachable a in
       let rb, pruned_b = restrict_reachable b in
-      let qa = weak_reduce ?jobs ?par_cutoff ra
-      and qb = weak_reduce ?jobs ?par_cutoff rb in
+      (* [weak_partition]'s pre-reduction, performed per side so the
+         unreduced union never exists. *)
+      let qa, _ = weak_reduce ?jobs ?par_cutoff ra
+      and qb, _ = weak_reduce ?jobs ?par_cutoff rb in
       (* Disjoint union commutes with saturation, so refining the
          unsaturated union through the weak pass sees the same
          signatures — hence the same rounds, watched exit and trail — as
@@ -922,7 +866,7 @@ let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
         let r =
           refine_watched_pass ?jobs ?par_cutoff union ~pass ~watch:(ia, ib)
         in
-        Tau.Weak.record sweep;
+        Tau.Sweep.record sweep;
         r
       in
       record_product_exit ~rounds ~pruned:(pruned_a + pruned_b)
@@ -942,11 +886,11 @@ let branching_product_secure ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
       let ra, pruned_a = restrict_reachable a in
       let rb, pruned_b = restrict_reachable b in
       let union, ia, ib = Lts.disjoint_union ra rb in
-      let pass, cache = branching_pass union in
+      let pass, sweep = branching_pass union in
       let _, rounds, split =
         refine_watched_pass ?jobs ?par_cutoff union ~pass ~watch:(ia, ib)
       in
-      Tau.Branching.record cache;
+      Tau.Sweep.record sweep;
       record_product_exit ~rounds ~pruned:(pruned_a + pruned_b)
         (Option.is_none split);
       Option.is_none split)

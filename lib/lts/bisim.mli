@@ -10,17 +10,18 @@
     packed CSR: each refinement round sweeps the tau-SCC condensation
     DAG once, in topological order, filling every component's
     tau-closure blocks and weak signature into arenas reused across
-    rounds ({!Tau.Weak}). The swept signatures equal, pair for pair, the
+    rounds ({!Tau.Sweep}). The swept signatures equal, pair for pair, the
     strong signatures of the saturated LTS, so partitions, verdicts,
     rounds and distinguishing formulas are bit-identical to what strong
     refinement of the materialized saturation would produce (the retired
     [--saturate] oracle; {!Tau.saturate} still materializes the closure
     where actual weak transitions are needed). The arenas hold one
     round's signatures — on tau-thin models the size of the CSR — never
-    the saturated edge set. Branching signatures go through a per-state
-    cache carried across rounds until a block they depend on splits
-    ({!Tau.Branching}); docs/WEAK_EQUIVALENCE.md documents the contract,
-    the invalidation rule and the memory model.
+    the saturated edge set. Branching signatures come from the same
+    sweep, in a single pass: every tau-SCC lies inside one block of every
+    branching iterate, so the unit is again the component.
+    docs/WEAK_EQUIVALENCE.md documents the contract and the memory
+    model.
 
     {2 The class table}
 
@@ -31,7 +32,7 @@
     of a flat open-addressing class table: strong pairs collected in
     place, sorted and deduplicated; Markovian (label, block, rate class)
     keys sorted with their rates summed in edge order; the weak pass's
-    swept slice or the branching cache entry copied in. The table hashes
+    or branching pass's swept slice copied in. The table hashes
     and compares the buffer in place and copies it into its arenas
     only when it opens a new class. It is allocated once per
     refinement and cleared between rounds, so a round allocates nothing
@@ -50,19 +51,18 @@
     order, assigning global class ids in first-seen order. The merged
     numbering is exactly the sequential first-seen-by-state-index
     numbering, so partitions, quotients, verdicts, and distinguishing
-    formulas are bit-identical for any job count. The weak and branching passes keep
-    this property: weak workers read the round's sweep, which is frozen
-    during the round; branching workers compute into thread-confined
-    cache shards over the frozen parent cache, merged back
-    deterministically between rounds (shard entries for one state are
-    content-equal by construction).
+    formulas are bit-identical for any job count. The weak and branching
+    passes keep this property: their workers read the round's sweep,
+    which is frozen during the round and recomputed between rounds.
 
     [?par_cutoff] is the state count below which a refinement runs
     sequentially even when [jobs > 1] (the signature pass is then too
     cheap to amortize the pool's per-round spawn cost). It defaults
     adaptively — 1024, or never parallelizing when
     {!Dpma_util.Pool.hardware_parallelism} is 1 — and affects scheduling
-    only, never results. *)
+    only, never results. Branching refinement defaults to never
+    parallelizing: its signature work is the sequential sweep, so a
+    parallel round would only add the spawn. *)
 
 val strong_partition : ?jobs:int -> ?par_cutoff:int -> Lts.t -> int array
 (** Coarsest strong-bisimulation partition; entry [i] is the block of state
@@ -81,7 +81,7 @@ val markovian_partition : ?jobs:int -> ?par_cutoff:int -> Lts.t -> int array
 
 val branching_partition : ?jobs:int -> ?par_cutoff:int -> Lts.t -> int array
 (** Coarsest branching-bisimulation partition (Blom–Orzan signature
-    refinement, per-state cached across rounds). Branching bisimilarity
+    refinement, one sweep over the tau-SCC condensation per round). Branching bisimilarity
     is strictly finer than weak bisimilarity and preserves the branching
     structure of internal stuttering; it is offered as a stricter
     alternative for the noninterference check. *)

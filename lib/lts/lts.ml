@@ -488,7 +488,7 @@ end
 
 module Triple_tbl = Hashtbl.Make (Triple)
 
-let quotient lts block =
+let quotient_impl lts block =
   let num_blocks = 1 + Array.fold_left max (-1) block in
   let seen = Triple_tbl.create 64 in
   let trans = Array.make num_blocks [] in
@@ -512,6 +512,11 @@ let quotient lts block =
   make ~init:block.(lts.init)
     ~state_name:(fun b -> lts.state_name representative.(b))
     trans
+
+let quotient lts block =
+  Dpma_obs.Trace.with_span "lts.quotient"
+    ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
+      quotient_impl lts block)
 
 let map_labels lts f =
   (* Rebuild the CSR arrays directly, keeping edge order. [f] runs once

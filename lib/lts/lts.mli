@@ -202,7 +202,8 @@ val disjoint_union : t -> t -> t * int * int
 val quotient : t -> int array -> t
 (** [quotient lts block] merges states mapped to the same block id;
     transitions are deduplicated by (label, target) keeping the first
-    rate annotation. The result's init is [block.(lts.init)]'s class. *)
+    rate annotation. The result's init is [block.(lts.init)]'s class.
+    Runs under an ["lts.quotient"] span. *)
 
 val map_labels : t -> (label -> label option) -> t
 (** Relabel transitions; [None] deletes the transition (restriction).

@@ -1,13 +1,14 @@
-(* On-the-fly weak saturation: tau-SCC condensation of the packed CSR,
-   a per-round closure sweep for weak signatures, and a per-state cache
-   for branching signatures.
+(* On-the-fly weak and branching signatures: tau-SCC condensation of the
+   packed CSR and one per-round sweep over it.
 
-   [Bisim]'s weak pass asks, each refinement round, for the weak
-   signature of every state — the packed (label, block) pairs reachable
-   through [=tau*=> -a-> =tau*=>] moves — without materializing the
-   saturated transition relation. All states of one tau-SCC are mutually
-   tau-reachable and therefore share one weak signature, so the unit of
-   computation is a component of the condensation DAG. Two layers:
+   [Bisim]'s weak and branching passes ask, each refinement round, for
+   the signature of every state without materializing the saturated
+   transition relation. For both, the unit of computation is a component
+   of the tau-SCC condensation DAG.
+
+   Weak. All states of one tau-SCC are mutually tau-reachable and
+   therefore share one weak signature — the packed (label, block) pairs
+   reachable through [=tau*=> -a-> =tau*=>] moves. Two layers:
 
      C(c) = blocks of the states tau-reachable from c
           = member blocks of c  U  C(d), for condensed tau edges c -> d
@@ -23,14 +24,28 @@
    the W(d) terms, the members of every DAG-reachable component), the
    tau-closure blocks of its observable successors. Refinement over
    these signatures is therefore round-for-round bit-identical to strong
-   refinement of the materialized saturation.
+   refinement of the materialized saturation. W also reads the C of
+   observable target components, which can sit anywhere in the DAG,
+   hence two passes rather than one.
+
+   Branching. The Blom–Orzan signature of a state is the set of
+   non-inert (label, block) pairs of the states it reaches by tau steps
+   inside its own block. Every refinement iterate is coarser than
+   branching bisimilarity, and states on a common tau-cycle are
+   branching bisimilar (van Glabbeek & Weijland), so all members of a
+   tau-SCC share a block in every round — and with it the same-block
+   closure, hence the signature:
+
+     B(c) = { pack(a, block t) | member x of c, x -a-> t,
+                                 not (a = tau and block t = block c) }
+          U  B(d), for condensed tau edges c -> d with block d = block c
+
+   One pass suffices: B reads only B below [c].
 
    Tarjan numbers every condensed tau dependency below its component, so
-   one ascending pass over the components fills C, and a second fills W
-   — W also reads the C of observable target components, which can sit
-   anywhere in the DAG, hence two passes rather than one. [Weak] runs
-   both passes once per refinement round into flat offset/data arenas
-   that live as long as the weak pass and are reused across rounds
+   each pass is one ascending loop over the components. A [Sweep.t]
+   runs them once per refinement round into flat offset/data arenas
+   that live as long as the pass and are reused across rounds
    (docs/WEAK_EQUIVALENCE.md works out the memory model). *)
 
 module Scc = Dpma_util.Scc
@@ -38,8 +53,6 @@ module Scc = Dpma_util.Scc
 (* Must match [Bisim]'s packing exactly: the arrays produced here feed
    the same signature tables the saturated oracle path fills. *)
 let pack_pair label block = (label lsl 31) lor block
-
-let block_mask = (1 lsl 31) - 1
 
 module Int_key = struct
   type t = int
@@ -60,8 +73,7 @@ type condensation = {
   members : int array;
 }
 
-let condense (lts : Lts.t) =
-  let n = lts.num_states in
+let components (lts : Lts.t) =
   let tau_succ s =
     let rec go i acc =
       if i < lts.row.(s) then acc
@@ -70,9 +82,13 @@ let condense (lts : Lts.t) =
     in
     go (lts.row.(s + 1) - 1) []
   in
-  let comps = Scc.tarjan ~succ:tau_succ n in
-  let comp_of = Scc.component_index ~n comps in
-  let num_comps = List.length comps in
+  let n = lts.num_states in
+  Scc.component_index ~n (Scc.tarjan ~succ:tau_succ n)
+
+let condense (lts : Lts.t) =
+  let n = lts.num_states in
+  let comp_of = components lts in
+  let num_comps = 1 + Array.fold_left max (-1) comp_of in
   (* Member states of each component, grouped by counting sort. *)
   let mem_row = Array.make (num_comps + 1) 0 in
   for s = 0 to n - 1 do
@@ -168,14 +184,15 @@ let grow a need =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Weak signatures: one C / W sweep per refinement round               *)
+(* The per-round sweep                                                  *)
 
-module Weak = struct
-  (* C and W in CSR form: component [c]'s closure is
-     [c_data.(c_row.(c) .. c_row.(c + 1) - 1)], sorted and deduped, and
-     likewise for W. The data arenas, the union scratch [buf] and the
-     dedup set only grow, so a weak pass allocates them once and every
-     later round overwrites them in place.
+module Sweep = struct
+  (* C and the signatures (W or B) in CSR form: component [c]'s closure
+     is [c_data.(c_row.(c) .. c_row.(c + 1) - 1)], sorted and deduped,
+     and likewise its signature in [sig_row]/[sig_data]. The data
+     arenas, the union scratch [buf] and the dedup set only grow, so a
+     pass allocates them once and every later round overwrites them in
+     place.
 
      A union is deduplicated as it is pushed: [buf] receives only the
      entries the set has not seen for the current union, so the sort at
@@ -190,8 +207,8 @@ module Weak = struct
     cond : condensation;
     c_row : int array;
     mutable c_data : int array;
-    w_row : int array;
-    mutable w_data : int array;
+    sig_row : int array;
+    mutable sig_data : int array;
     mutable buf : int array;
     mutable len : int;
     mutable set_key : int array;
@@ -211,15 +228,15 @@ module Weak = struct
     in
     let k = cond.num_comps in
     (* Sized for the tau-thin shape (singleton components: one block in
-       C, one tau pair plus the out-degree in W); denser models grow the
-       arenas during the first sweep. *)
+       C, one tau pair plus the out-degree in a signature); denser
+       models grow the arenas during the first sweep. *)
     {
       lts;
       cond;
       c_row = Array.make (k + 1) 0;
       c_data = Array.make (max 1 k) 0;
-      w_row = Array.make (k + 1) 0;
-      w_data = Array.make (max 1 (k + Lts.num_transitions lts)) 0;
+      sig_row = Array.make (k + 1) 0;
+      sig_data = Array.make (max 1 (k + Lts.num_transitions lts)) 0;
       buf = Array.make set_capacity 0;
       len = 0;
       set_key = Array.make set_capacity 0;
@@ -281,7 +298,14 @@ module Weak = struct
     t.gen <- t.gen + 1;
     (data, pos + n)
 
-  let sweep t block =
+  (* Close a signature union into the signature arena at [pos]; returns
+     the next free position. *)
+  let flush_signature t pos =
+    let data, p = flush t t.sig_data pos in
+    t.sig_data <- data;
+    p
+
+  let weak t block =
     let cond = t.cond and lts = t.lts in
     let k = cond.num_comps in
     (* Pass 1: C. Every condensed tau target [d] of [c] is below [c], so
@@ -307,14 +331,14 @@ module Weak = struct
     (* Pass 2: W, reading C anywhere in the DAG and W below [c]. *)
     pos := 0;
     for c = 0 to k - 1 do
-      t.w_row.(c) <- !pos;
+      t.sig_row.(c) <- !pos;
       for j = t.c_row.(c) to t.c_row.(c + 1) - 1 do
         push t (pack_pair Lts.tau t.c_data.(j))
       done;
       for i = cond.tau_row.(c) to cond.tau_row.(c + 1) - 1 do
         let d = cond.tau_tgt.(i) in
-        for j = t.w_row.(d) to t.w_row.(d + 1) - 1 do
-          push t t.w_data.(j)
+        for j = t.sig_row.(d) to t.sig_row.(d + 1) - 1 do
+          push t t.sig_data.(j)
         done
       done;
       for i = cond.mem_row.(c) to cond.mem_row.(c + 1) - 1 do
@@ -329,21 +353,51 @@ module Weak = struct
           end
         done
       done;
-      let data, p = flush t t.w_data !pos in
-      t.w_data <- data;
-      pos := p
+      pos := flush_signature t !pos
     done;
-    t.w_row.(k) <- !pos
+    t.sig_row.(k) <- !pos
+
+  (* The block of component [c]: that of its first member. *)
+  let comp_block t block c = block.(t.cond.members.(t.cond.mem_row.(c)))
+
+  let branching t block =
+    let cond = t.cond and lts = t.lts in
+    let k = cond.num_comps in
+    let pos = ref 0 in
+    for c = 0 to k - 1 do
+      t.sig_row.(c) <- !pos;
+      let b = comp_block t block c in
+      for i = cond.mem_row.(c) to cond.mem_row.(c + 1) - 1 do
+        let x = cond.members.(i) in
+        if block.(x) <> b then
+          invalid_arg "Tau.Sweep.branching: a tau-SCC spans two blocks";
+        for e = lts.row.(x) to lts.row.(x + 1) - 1 do
+          let l = lts.lab.(e) and bt = block.(lts.tgt.(e)) in
+          if not (l = Lts.tau && bt = b) then push t (pack_pair l bt)
+        done
+      done;
+      (* Only same-block targets extend the stuttering closure; B(d) of
+         such a [d] already excludes the steps inert for [c]. *)
+      for i = cond.tau_row.(c) to cond.tau_row.(c + 1) - 1 do
+        let d = cond.tau_tgt.(i) in
+        if comp_block t block d = b then
+          for j = t.sig_row.(d) to t.sig_row.(d + 1) - 1 do
+            push t t.sig_data.(j)
+          done
+      done;
+      pos := flush_signature t !pos
+    done;
+    t.sig_row.(k) <- !pos
 
   let signature_length t s =
     let c = t.cond.comp_of.(s) in
-    t.w_row.(c + 1) - t.w_row.(c)
+    t.sig_row.(c + 1) - t.sig_row.(c)
 
   let blit_signature t s dst =
     let c = t.cond.comp_of.(s) in
-    let lo = t.w_row.(c) in
-    for k = 0 to t.w_row.(c + 1) - lo - 1 do
-      dst.(k) <- t.w_data.(lo + k)
+    let lo = t.sig_row.(c) in
+    for k = 0 to t.sig_row.(c + 1) - lo - 1 do
+      dst.(k) <- t.sig_data.(lo + k)
     done
 
   let record t =
@@ -351,8 +405,8 @@ module Weak = struct
     let module M = Dpma_obs.Metrics in
     (* The arrays only grow, so their size is the high-water mark. *)
     let words =
-      Array.length t.c_row + Array.length t.c_data + Array.length t.w_row
-      + Array.length t.w_data + Array.length t.buf
+      Array.length t.c_row + Array.length t.c_data + Array.length t.sig_row
+      + Array.length t.sig_data + Array.length t.buf
       + Array.length t.set_key + Array.length t.set_stamp
     in
     M.set I.bisim_tau_components (float_of_int t.cond.num_comps);
@@ -362,11 +416,11 @@ end
 (* ------------------------------------------------------------------ *)
 (* Materialized saturation                                              *)
 
-(* The weak sweep and the branching cache answer signature queries
-   without ever building the double-arrow relation; the functions below
-   build it, for the few places that need actual weak transitions:
-   [Bisim.minimize_weak]'s output (saturated at quotient size) and the
-   diagnostics replay of a distinguishing formula over a small model. *)
+(* The sweep answers signature queries without ever building the
+   double-arrow relation; the functions below build it, for the few
+   places that need actual weak transitions: [Bisim.minimize_weak]'s
+   output (saturated at quotient size) and the diagnostics replay of a
+   distinguishing formula over a small model. *)
 
 let tau_closure (lts : Lts.t) =
   (* For each state, the set of states reachable through tau transitions,
@@ -432,231 +486,3 @@ let saturate ?(traced = true) lts =
       ~attrs:[ ("states", Dpma_obs.Trace.Int lts.Lts.num_states) ] (fun () ->
         saturate_impl lts)
   else saturate_impl lts
-
-(* ------------------------------------------------------------------ *)
-(* Interning and cross-round renaming for the branching cache           *)
-
-module Arr_key = struct
-  type t = int array
-
-  let equal (a : int array) (b : int array) =
-    Array.length a = Array.length b
-    &&
-    let ok = ref true in
-    Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
-    !ok
-
-  let hash (a : int array) =
-    let h = ref (Array.length a + 1) in
-    Array.iter (fun x -> h := (!h * 31) + x) a;
-    !h land max_int
-end
-
-module Arr_tbl = Hashtbl.Make (Arr_key)
-
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable remaps : int;
-  mutable invalidations : int;
-  mutable bytes : int;
-  mutable bytes_peak : int;
-}
-
-let fresh_stats () =
-  { hits = 0; misses = 0; remaps = 0; invalidations = 0; bytes = 0;
-    bytes_peak = 0 }
-
-(* One word of header plus one word per element. *)
-let array_bytes a = 8 * (Array.length a + 1)
-
-let intern pool st arr =
-  match Arr_tbl.find_opt pool arr with
-  | Some canonical -> canonical
-  | None ->
-      Arr_tbl.add pool arr arr;
-      st.bytes <- st.bytes + array_bytes arr;
-      if st.bytes > st.bytes_peak then st.bytes_peak <- st.bytes;
-      arr
-
-let renaming ~old_block ~new_block =
-  let num_old = 1 + Array.fold_left max (-1) old_block in
-  let rename = Array.make (max 1 num_old) (-2) in
-  Array.iteri
-    (fun s ob ->
-      let nb = new_block.(s) in
-      if rename.(ob) = -2 then rename.(ob) <- nb
-      else if rename.(ob) <> nb then rename.(ob) <- -1)
-    old_block;
-  rename
-
-let remap_pairs rename arr =
-  let k = Array.length arr in
-  let out = Array.make k 0 in
-  try
-    for i = 0 to k - 1 do
-      let p = arr.(i) in
-      let nb = rename.(p land block_mask) in
-      if nb < 0 then raise Exit;
-      out.(i) <- (p land lnot block_mask) lor nb
-    done;
-    (* The rename is not monotone, so re-sort; no re-dedup is needed
-       because the rename is injective on unsplit blocks (a refinement
-       key includes the old block, so a new block never spans two old
-       ones). *)
-    Array.sort Int.compare out;
-    Some out
-  with Exit -> None
-
-(* ------------------------------------------------------------------ *)
-(* Branching signatures: per-state cache                                *)
-
-module Branching = struct
-  type t = {
-    lts : Lts.t;
-    pool : int array Arr_tbl.t;
-    sigs : int array option array;
-    stats : stats;
-  }
-
-  let create (lts : Lts.t) =
-    { lts; pool = Arr_tbl.create 256;
-      sigs = Array.make (max 1 lts.num_states) None; stats = fresh_stats () }
-
-  let bytes_peak t = t.stats.bytes_peak
-
-  (* The Blom–Orzan branching signature from scratch: the same-block tau
-     closure of [s], then every non-inert (label, block) pair, sorted
-     and deduped. The branching closure is per-state (it depends on the
-     state's own block), so unlike the weak cache the unit here is the
-     state, not the tau-SCC. *)
-  let compute (lts : Lts.t) block s =
-    let b = block.(s) in
-    let seen = Int_tbl.create 8 in
-    Int_tbl.add seen s ();
-    let stack = ref [ s ] in
-    let closure = ref [ s ] in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | x :: rest ->
-          stack := rest;
-          for i = lts.row.(x) to lts.row.(x + 1) - 1 do
-            let t = lts.tgt.(i) in
-            if
-              lts.lab.(i) = Lts.tau && block.(t) = b
-              && not (Int_tbl.mem seen t)
-            then begin
-              Int_tbl.add seen t ();
-              closure := t :: !closure;
-              stack := t :: !stack
-            end
-          done
-    done;
-    let acc = ref [] in
-    List.iter
-      (fun s' ->
-        for i = lts.row.(s') to lts.row.(s' + 1) - 1 do
-          let t = lts.tgt.(i) in
-          if not (lts.lab.(i) = Lts.tau && block.(t) = b) then
-            acc := pack_pair lts.lab.(i) block.(t) :: !acc
-        done)
-      !closure;
-    Array.of_list (List.sort_uniq Int.compare !acc)
-
-  let signature_fn t block s =
-    match t.sigs.(s) with
-    | Some a ->
-        t.stats.hits <- t.stats.hits + 1;
-        a
-    | None ->
-        let a = intern t.pool t.stats (compute t.lts block s) in
-        t.sigs.(s) <- Some a;
-        t.stats.misses <- t.stats.misses + 1;
-        a
-
-  type shard = {
-    bsh_parent : t;
-    bsh_tbl : int array Int_tbl.t;
-    bsh_stats : stats;
-  }
-
-  let shard t =
-    { bsh_parent = t; bsh_tbl = Int_tbl.create 256;
-      bsh_stats = fresh_stats () }
-
-  let shard_signature_fn sh block s =
-    match sh.bsh_parent.sigs.(s) with
-    | Some a ->
-        sh.bsh_stats.hits <- sh.bsh_stats.hits + 1;
-        a
-    | None -> (
-        match Int_tbl.find_opt sh.bsh_tbl s with
-        | Some a ->
-            sh.bsh_stats.hits <- sh.bsh_stats.hits + 1;
-            a
-        | None ->
-            let a = compute sh.bsh_parent.lts block s in
-            Int_tbl.replace sh.bsh_tbl s a;
-            sh.bsh_stats.misses <- sh.bsh_stats.misses + 1;
-            a)
-
-  let merge_shard t sh =
-    Int_tbl.iter
-      (fun s a ->
-        match t.sigs.(s) with
-        | Some _ -> ()
-        | None -> t.sigs.(s) <- Some (intern t.pool t.stats a))
-      sh.bsh_tbl;
-    t.stats.hits <- t.stats.hits + sh.bsh_stats.hits;
-    t.stats.misses <- t.stats.misses + sh.bsh_stats.misses
-
-  (* A branching entry additionally depends on the state's own block:
-     if that block split, formerly inert tau steps may have become
-     observable and the same-block closure may have shrunk, so the
-     entry is dropped even when every mentioned pair survives. *)
-  let advance t ~old_block ~new_block =
-    let rename = renaming ~old_block ~new_block in
-    Arr_tbl.reset t.pool;
-    t.stats.bytes <- 0;
-    let memo = Arr_tbl.create 64 in
-    Array.iteri
-      (fun s entry ->
-        match entry with
-        | None -> ()
-        | Some arr ->
-            if rename.(old_block.(s)) < 0 then begin
-              t.sigs.(s) <- None;
-              t.stats.invalidations <- t.stats.invalidations + 1
-            end
-            else
-              let remapped =
-                match Arr_tbl.find_opt memo arr with
-                | Some r -> r
-                | None ->
-                    let r = remap_pairs rename arr in
-                    Arr_tbl.add memo arr r;
-                    r
-              in
-              (match remapped with
-              | Some r ->
-                  t.sigs.(s) <- Some (intern t.pool t.stats r);
-                  t.stats.remaps <- t.stats.remaps + 1
-              | None ->
-                  t.sigs.(s) <- None;
-                  t.stats.invalidations <- t.stats.invalidations + 1))
-      t.sigs
-
-  let record t =
-    let module I = Dpma_obs.Instruments in
-    let module M = Dpma_obs.Metrics in
-    M.add I.bisim_tau_cache_hits t.stats.hits;
-    M.add I.bisim_tau_cache_misses t.stats.misses;
-    M.add I.bisim_tau_cache_remaps t.stats.remaps;
-    M.add I.bisim_tau_cache_invalidations t.stats.invalidations;
-    M.set I.bisim_tau_closure_bytes (float_of_int t.stats.bytes_peak);
-    t.stats.hits <- 0;
-    t.stats.misses <- 0;
-    t.stats.remaps <- 0;
-    t.stats.invalidations <- 0
-end

@@ -181,39 +181,30 @@ let bisim_par_seq_fallbacks =
 
 let bisim_tau_components =
   g ~unit_:"components"
-    ~desc:"tau-SCC components condensed by the last weak refinement"
+    ~desc:
+      "tau-SCC components condensed by the last weak or branching \
+       refinement"
     "bisim.tau.components"
 
 let bisim_tau_cache_hits =
   c ~unit_:"lookups"
-    ~desc:"branching signature lookups answered from the per-state cache"
+    ~desc:
+      "unrecorded: branching signature lookups answered from the per-state \
+       cache the sweep replaced; kept registered for readers of older reports"
     "bisim.tau.cache_hits"
 
 let bisim_tau_cache_misses =
   c ~unit_:"entries"
-    ~desc:"branching signatures computed because no cached entry was valid"
+    ~desc:
+      "unrecorded: branching signatures the replaced per-state cache \
+       computed on demand; kept registered for readers of older reports"
     "bisim.tau.cache_misses"
-
-let bisim_tau_cache_remaps =
-  c ~unit_:"entries"
-    ~desc:
-      "branching cache entries carried across a refinement round by block \
-       renaming (every block they depend on was unsplit)"
-    "bisim.tau.cache_remaps"
-
-let bisim_tau_cache_invalidations =
-  c ~unit_:"entries"
-    ~desc:
-      "branching cache entries dropped across a refinement round because a \
-       block they depend on split"
-    "bisim.tau.cache_invalidations"
 
 let bisim_tau_closure_bytes =
   g ~unit_:"bytes"
     ~desc:
-      "closure memory of the last weak or branching refinement: weak sweep \
-       arenas plus union buffer and dedup set (high-water mark), or peak \
-       interned branching payload"
+      "closure memory of the last weak or branching refinement: the sweep's \
+       arenas plus union buffer and dedup set (high-water mark)"
     "bisim.tau.closure_bytes_peak"
 
 (* Noninterference product refiner *)

@@ -163,32 +163,22 @@ val bisim_par_seq_fallbacks : Metrics.counter
 
 val bisim_tau_components : Metrics.gauge
 (** [bisim.tau.components] — tau-SCC components condensed by the last
-    weak refinement (the unit of the weak closure sweep). *)
+    weak or branching refinement (the unit of the signature sweep). *)
 
 val bisim_tau_cache_hits : Metrics.counter
-(** [bisim.tau.cache_hits] — branching signature lookups answered from
-    the per-state cache, summed over refinements. The weak pass has no
-    cache and never records it. *)
+(** [bisim.tau.cache_hits] — unrecorded. It counted lookups answered by
+    the per-state branching cache, which the signature sweep replaced;
+    it stays registered (always 0) so readers of the metrics snapshot,
+    such as the benchmark's per-layer hit ratio, keep working. *)
 
 val bisim_tau_cache_misses : Metrics.counter
-(** [bisim.tau.cache_misses] — branching signatures computed on demand
-    because no cached entry was valid. *)
-
-val bisim_tau_cache_remaps : Metrics.counter
-(** [bisim.tau.cache_remaps] — branching cache entries carried across a
-    refinement round by block renaming, because every block they depend
-    on was unsplit that round. *)
-
-val bisim_tau_cache_invalidations : Metrics.counter
-(** [bisim.tau.cache_invalidations] — branching cache entries dropped
-    across a refinement round because a block they depend on split. *)
+(** [bisim.tau.cache_misses] — unrecorded, like
+    {!bisim_tau_cache_hits}. *)
 
 val bisim_tau_closure_bytes : Metrics.gauge
 (** [bisim.tau.closure_bytes_peak] — closure memory of the last weak or
-    branching refinement: the high-water mark of the weak sweep's
-    arenas, union buffer and dedup set, or the peak bytes interned by
-    the branching cache (see
-    docs/WEAK_EQUIVALENCE.md). *)
+    branching refinement: the high-water mark of the sweep's arenas,
+    union buffer and dedup set (see docs/WEAK_EQUIVALENCE.md). *)
 
 (** {1 Noninterference product refiner (ni)} *)
 

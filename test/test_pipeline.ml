@@ -7,6 +7,9 @@ module Markov = Dpma_core.Markov
 module NI = Dpma_core.Noninterference
 module Rpc = Dpma_models.Rpc
 module Stats = Dpma_util.Stats
+module Lts = Dpma_lts.Lts
+module Metrics = Dpma_obs.Metrics
+module Instruments = Dpma_obs.Instruments
 
 let fast_sim =
   { General.default_sim_params with runs = 5; duration = 8_000.0; warmup = 800.0 }
@@ -102,3 +105,43 @@ let hierarchy_suite =
   [ Alcotest.test_case "hierarchy fields" `Slow test_hierarchy_fields ]
 
 let suite = suite @ hierarchy_suite
+
+(* Without a separate functional model, [assess] builds the LTS once and
+   runs every phase on it. Its report must equal one assembled from the
+   phases run on their own, each building its own LTS. *)
+let test_single_build () =
+  let study =
+    { (Rpc.study ~mode:Rpc.General Rpc.default_params) with
+      Pipeline.functional_spec = None }
+  in
+  let builds0 = Metrics.count Instruments.lts_builds in
+  let report = Pipeline.assess ~sim_params:fast_sim study in
+  Alcotest.(check int) "one LTS build" 1
+    (Metrics.count Instruments.lts_builds - builds0);
+  let spec = study.Pipeline.spec
+  and high = study.Pipeline.high
+  and low = study.Pipeline.low
+  and measures = study.Pipeline.measures in
+  let lts = Lts.of_spec spec in
+  let without = Markov.without_dpm lts ~high in
+  let timing = General.timing_of_list study.Pipeline.general_timings in
+  let reference =
+    {
+      Pipeline.verdict = NI.check_spec spec ~high ~low;
+      trace_secure = NI.trace_secure_spec spec ~high ~low;
+      branching_secure = NI.branching_secure_spec spec ~high ~low;
+      markovian_with_dpm = Markov.analyze_lts lts measures;
+      markovian_without_dpm = Markov.analyze_lts without measures;
+      validation = General.validate lts ~timing ~measures fast_sim;
+      general_with_dpm = General.simulate lts ~timing ~measures fast_sim;
+      general_without_dpm = General.simulate without ~timing ~measures fast_sim;
+    }
+  in
+  Alcotest.(check string) "report"
+    (Format.asprintf "%a" Pipeline.pp_report reference)
+    (Format.asprintf "%a" Pipeline.pp_report report)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "one build without a functional model" `Slow
+        test_single_build ]

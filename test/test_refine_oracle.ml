@@ -3,18 +3,23 @@
    signature refinement they replaced — per-state signature records, a
    [Hashtbl.Make] class table keyed by (old block, ints, floats), strong
    signatures through [List.sort_uniq], Markovian signatures through a
-   per-state triple table, every state re-keyed every round. Partitions,
-   round counts and the Markovian lumped quotients must agree bit for
-   bit at 1, 2 and 4 jobs, on generated rings and on hand-built edge
-   cases: deadlock states (empty signatures), signatures longer than the
-   insertion-sort cutoff, rate sums whose value depends on their order,
-   and one round that forces the class table through several
-   regrowths. *)
+   per-state triple table, branching signatures through a per-state walk
+   of the same-block tau closure, every state re-keyed every round.
+   Partitions, round counts and the Markovian lumped quotients must
+   agree bit for bit at 1, 2 and 4 jobs, on generated rings and on
+   hand-built edge cases: deadlock states (empty signatures), signatures
+   longer than the insertion-sort cutoff, rate sums whose value depends
+   on their order, and one round that forces the class table through
+   several regrowths. Branching partitions, round counts and product
+   verdicts are checked the same way on generated rings with their
+   actions hidden — inert taus and tau-cycles — and on the paper's
+   models. *)
 
 module Lts = Dpma_lts.Lts
 module Bisim = Dpma_lts.Bisim
 module Rate = Dpma_pa.Rate
 module Elaborate = Dpma_adl.Elaborate
+module NI = Dpma_core.Noninterference
 module Metrics = Dpma_obs.Metrics
 module Instruments = Dpma_obs.Instruments
 
@@ -121,9 +126,48 @@ module Oracle = struct
       floats = Array.of_list (List.map snd entries);
     }
 
+  (* The Blom–Orzan branching signature from scratch: the tau closure of
+     [s] inside its own block, then every non-inert (label, block) pair
+     of the closure, sorted and deduped. The unit is the state: nothing
+     assumes that a tau-SCC stays inside one block. *)
+  let branching_signature (lts : Lts.t) block s =
+    let b = block.(s) in
+    let seen = Hashtbl.create 8 in
+    Hashtbl.add seen s ();
+    let stack = ref [ s ] and closure = ref [ s ] in
+    while !stack <> [] do
+      match !stack with
+      | [] -> ()
+      | x :: rest ->
+          stack := rest;
+          for i = lts.Lts.row.(x) to lts.Lts.row.(x + 1) - 1 do
+            let t = lts.Lts.tgt.(i) in
+            if
+              lts.Lts.lab.(i) = Lts.tau && block.(t) = b
+              && not (Hashtbl.mem seen t)
+            then begin
+              Hashtbl.add seen t ();
+              closure := t :: !closure;
+              stack := t :: !stack
+            end
+          done
+    done;
+    let acc = ref [] in
+    List.iter
+      (fun x ->
+        for i = lts.Lts.row.(x) to lts.Lts.row.(x + 1) - 1 do
+          let t = lts.Lts.tgt.(i) in
+          if not (lts.Lts.lab.(i) = Lts.tau && block.(t) = b) then
+            acc := pack_pair lts.Lts.lab.(i) block.(t) :: !acc
+        done)
+      !closure;
+    { ints = Array.of_list (List.sort_uniq Int.compare !acc); floats = [||] }
+
   let strong_partition lts = refine lts ~signature:(strong_signature lts)
 
   let markovian_partition lts = refine lts ~signature:(markovian_signature lts)
+
+  let branching_partition lts = refine lts ~signature:(branching_signature lts)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -135,13 +179,17 @@ type kind = {
   oracle : Lts.t -> int array * int;
 }
 
-let kinds =
-  [
-    { name = "strong"; library = Bisim.strong_partition;
-      oracle = Oracle.strong_partition };
-    { name = "markovian"; library = Bisim.markovian_partition;
-      oracle = Oracle.markovian_partition };
-  ]
+let strong =
+  { name = "strong"; library = Bisim.strong_partition;
+    oracle = Oracle.strong_partition }
+
+let markovian =
+  { name = "markovian"; library = Bisim.markovian_partition;
+    oracle = Oracle.markovian_partition }
+
+let branching =
+  { name = "branching"; library = Bisim.branching_partition;
+    oracle = Oracle.branching_partition }
 
 (* The library partition and its round count, read off the
    [bisim.refine.rounds] counter (one refinement fixpoint per call). *)
@@ -164,7 +212,7 @@ let same_lumped (a : Lts.t) (b : Lts.t) =
 
 (* [None] when every kind agrees with the oracle at 1, 2 and 4 jobs,
    else a description of the first disagreement. *)
-let disagreement lts =
+let disagreement ?(kinds = [ strong; markovian ]) lts =
   List.find_map
     (fun kind ->
       let op, orounds = kind.oracle lts in
@@ -187,8 +235,8 @@ let disagreement lts =
         [ 1; 2; 4 ])
     kinds
 
-let check_against_oracle name lts =
-  match disagreement lts with
+let check_against_oracle ?kinds name lts =
+  match disagreement ?kinds lts with
   | None -> ()
   | Some what -> Alcotest.failf "%s: %s" name what
 
@@ -242,6 +290,164 @@ let test_rings_cover_rate_kinds () =
   Alcotest.(check bool) "exponential edges" true seen.(1);
   Alcotest.(check bool) "immediate edges" true seen.(2);
   Alcotest.(check bool) "passive edges" true seen.(3)
+
+(* ------------------------------------------------------------------ *)
+(* Branching on hidden rings                                           *)
+
+(* Which actions a hidden ring keeps observable. Hiding turns the token
+   moves into taus. A token that goes round the ring passes every
+   station's [work] and every link, so a tau-cycle needs all of them
+   hidden; ticks are self-loops. *)
+let keeps =
+  [| ("nothing", fun _ -> false);
+     ("ticks", String.ends_with ~suffix:".tick");
+     ("station 0", String.starts_with ~prefix:"S0.");
+     ("moves", fun a -> String.contains a '#') |]
+
+(* Every [m]-th state (none for 0) has its tau steps relabelled to an
+   observable [cut]. On a ring whose moves are hidden this breaks the
+   tau-cycles into tau-SCCs that stutter into one another and tell
+   apart the states that can still reach a [cut] from those that have
+   to pass one: blocks of several tau-SCCs, condensed tau edges within
+   a block and across blocks, inert and non-inert taus. *)
+let marks = [| 0; 3; 5; 7 |]
+
+let mark m (lts : Lts.t) =
+  if m = 0 then lts
+  else
+    Lts.make ~init:lts.Lts.init ~state_name:lts.Lts.state_name
+      (Array.init lts.Lts.num_states (fun s ->
+           List.map
+             (fun (tr : Lts.transition) ->
+               if s mod m = 0 && tr.Lts.label = Lts.tau then
+                 { tr with Lts.label = Lts.obs "cut" }
+               else tr)
+             (Lts.transitions_of lts s)))
+
+(* Weighted towards the keeps that leave tau-cycles. *)
+let gen_hidden_ring =
+  let open QCheck.Gen in
+  triple gen_ring
+    (frequencyl [ (2, 0); (3, 1); (1, 2); (1, 3) ])
+    (int_bound (Array.length marks - 1))
+
+let ring_lts archi =
+  Lts.of_spec ~max_states:100_000 (Elaborate.elaborate archi).Elaborate.spec
+
+let hidden_lts (archi, k, m) =
+  mark marks.(m) (Lts.hide_all_but (ring_lts archi) ~keep:(snd keeps.(k)))
+
+(* The noninterference pair of a ring, with station 1's own actions as
+   the high ones: the product the branching check refines. Restriction
+   keeps state ids, so both sides carry their marks on the same
+   states. *)
+let ring_pair (archi, k, m) =
+  let high a =
+    String.starts_with ~prefix:"S1." a && not (String.contains a '#')
+  in
+  let hidden, removed =
+    NI.observed_pair (ring_lts archi) ~high ~low:(snd keeps.(k))
+  in
+  (mark marks.(m) hidden, mark marks.(m) removed)
+
+(* [None] when [Bisim.branching_product_secure] gives the oracle's
+   verdict on [(a, b)] at 1, 2 and 4 jobs. The oracle refines the whole
+   disjoint union to its fixpoint: branching bisimilarity of the two
+   initial states does not depend on the pruned or unreachable parts. *)
+let product_disagreement (a, b) =
+  let union, ia, ib = Lts.disjoint_union a b in
+  let p, _ = Oracle.branching_partition union in
+  let expected = p.(ia) = p.(ib) in
+  List.find_map
+    (fun jobs ->
+      if Bisim.branching_product_secure ~jobs ~par_cutoff:0 a b = expected
+      then None
+      else Some (Printf.sprintf "branching product j%d: verdict" jobs))
+    [ 1; 2; 4 ]
+
+let prop_branching_matches_oracle =
+  QCheck.Test.make ~count:150
+    ~name:"fuzz: swept branching refinement = oracle at j1/j2/j4"
+    (QCheck.make
+       ~print:(fun (a, k, m) ->
+         Format.asprintf "keep %s, mark every %d of@.%a" (fst keeps.(k))
+           marks.(m) Dpma_adl.Ast.pp a)
+       gen_hidden_ring)
+    (fun ring ->
+      let lts = hidden_lts ring in
+      (* The oracle's per-state closures are quadratic on tau-dense
+         rings: keep the property inside the quick suite. *)
+      if lts.Lts.num_states > 600 then QCheck.assume_fail ()
+      else
+        match
+          match disagreement ~kinds:[ branching ] lts with
+          | None -> product_disagreement (ring_pair ring)
+          | some -> some
+        with
+        | None -> true
+        | Some what -> QCheck.Test.fail_report what)
+
+(* The hidden rings do carry what the sweep's branching pass must get
+   right: rings whose branching partition has several blocks while a
+   tau-SCC of more than one state sits inside one of them, and a
+   condensed tau edge joins two components of one block. *)
+let test_hidden_rings_have_tau_cycles () =
+  let module Tau = Dpma_lts.Tau in
+  let rand = Random.State.make [| 13 |] in
+  let found = ref 0 in
+  for _ = 1 to 40 do
+    let lts = hidden_lts (QCheck.Gen.generate1 ~rand gen_hidden_ring) in
+    let cond = Tau.condense lts in
+    let p = Bisim.branching_partition lts in
+    let inner_edge = ref false in
+    for c = 0 to cond.Tau.num_comps - 1 do
+      for i = cond.Tau.tau_row.(c) to cond.Tau.tau_row.(c + 1) - 1 do
+        let d = cond.Tau.tau_tgt.(i) in
+        let block c = p.(cond.Tau.members.(cond.Tau.mem_row.(c))) in
+        if block c = block d then inner_edge := true
+      done
+    done;
+    if
+      cond.Tau.num_comps < lts.Lts.num_states
+      && Array.exists (fun b -> b > 0) p
+      && !inner_edge
+    then incr found
+  done;
+  Alcotest.(check bool) "rings with tau-cycles, blocks and inert edges" true
+    (!found > 0)
+
+(* The paper's models: the full LTS, the "DPM hidden" side of the
+   noninterference check, and the product verdict. Full streaming is
+   left out: the per-state oracle takes minutes there. *)
+let test_branching_paper_models () =
+  let module Rpc = Dpma_models.Rpc in
+  let module Streaming = Dpma_models.Streaming in
+  let mem l a = List.mem a l in
+  List.iter
+    (fun (name, spec, high, low) ->
+      let lts = Lts.of_spec spec in
+      let pair = NI.observed_pair lts ~high:(mem high) ~low:(mem low) in
+      check_against_oracle ~kinds:[ branching ] name lts;
+      check_against_oracle ~kinds:[ branching ] (name ^ ", DPM hidden")
+        (fst pair);
+      match product_disagreement pair with
+      | None -> ()
+      | Some what -> Alcotest.failf "%s: %s" name what)
+    [
+      ( "rpc",
+        (Rpc.elaborate ~mode:Rpc.Markovian ~monitors:true Rpc.default_params)
+          .Elaborate.spec,
+        Rpc.high_actions, Rpc.low_actions );
+      ( "simplified rpc",
+        (Elaborate.elaborate (Rpc.simplified_archi ())).Elaborate.spec,
+        Rpc.high_actions, Rpc.low_actions_simplified );
+      ( "small streaming",
+        (Streaming.elaborate ~mode:Streaming.Markovian ~monitors:false
+           { Streaming.default_params with
+             ap_buffer_size = 1; client_buffer_size = 1 })
+          .Elaborate.spec,
+        Streaming.high_actions, Streaming.low_actions );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built edge cases                                               *)
@@ -357,6 +563,11 @@ let suite =
     Alcotest.test_case "rings reach every rate kind" `Quick
       test_rings_cover_rate_kinds;
     QCheck_alcotest.to_alcotest ~long:false prop_refinement_matches_oracle;
+    Alcotest.test_case "hidden rings have tau-cycles" `Quick
+      test_hidden_rings_have_tau_cycles;
+    QCheck_alcotest.to_alcotest ~long:false prop_branching_matches_oracle;
+    Alcotest.test_case "branching on the paper's models" `Quick
+      test_branching_paper_models;
     Alcotest.test_case "deadlock states (empty signatures)" `Quick
       test_deadlock_states;
     Alcotest.test_case "signatures past the sort cutoff" `Quick

@@ -4,10 +4,9 @@
    saturation — reconstructed here from [Tau.saturate] and the public
    refinement API — on signatures, partitions, minimized LTSs and
    equivalence verdicts; product verdicts, trails and distinguishing
-   formulas must be identical for any job count; on tau-free models the
-   weak partition must be the strong one; and the branching cache's
-   cross-round advance must never change a signature compared to a cold
-   cache. *)
+   formulas must be identical for any job count; and on tau-free models
+   the weak partition must be the strong one. The swept branching
+   signatures have their own oracle in test_refine_oracle.ml. *)
 
 module Lts = Dpma_lts.Lts
 module Bisim = Dpma_lts.Bisim
@@ -198,7 +197,7 @@ let test_mutant_formula_differential () =
   Alcotest.(check string) "mutant formula" (formula 1) (formula 4)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel identity of the cached weak path                            *)
+(* Parallel identity of the swept weak and branching paths             *)
 
 let test_weak_jobs_identity () =
   List.iter
@@ -219,7 +218,7 @@ let test_branching_jobs_identity () =
     (Bisim.branching_partition ~jobs:4 ~par_cutoff:0 lts)
 
 (* ------------------------------------------------------------------ *)
-(* Weak sweep against the saturated oracle: after [Tau.Weak.sweep t
+(* Weak sweep against the saturated oracle: after [Tau.Sweep.weak t
    block], every state's signature must be its strong signature on
    [Tau.saturate lts] under [block]. One sweep value is reused across
    the partitions, as refinement reuses it across rounds.               *)
@@ -242,13 +241,13 @@ let check_sweep name lts =
     Array.mapi (fun s b -> if b mod 2 = 0 then b else n + weak.(s)) strong
   in
   let sat = Tau.saturate ~traced:false lts in
-  let sweep = Tau.Weak.create lts in
+  let sweep = Tau.Sweep.create lts in
   List.iter
     (fun (pname, block) ->
-      Tau.Weak.sweep sweep block;
+      Tau.Sweep.weak sweep block;
       for s = 0 to n - 1 do
-        let swept = Array.make (Tau.Weak.signature_length sweep s) 0 in
-        Tau.Weak.blit_signature sweep s swept;
+        let swept = Array.make (Tau.Sweep.signature_length sweep s) 0 in
+        Tau.Sweep.blit_signature sweep s swept;
         if swept <> strong_signature sat block s then
           Alcotest.failf "%s, %s partition: weak signature of state %d" name
             pname s
@@ -322,74 +321,22 @@ let prop_tau_free_weak_is_strong =
       else Bisim.weak_partition lts = Bisim.strong_partition lts)
 
 (* ------------------------------------------------------------------ *)
-(* Cache-invalidation property of the branching cache: signatures after
-   [advance] equal signatures computed from scratch against the new
-   partition                                                            *)
+(* Instruments: weak and branching refinements both report the sweep's
+   condensation and arena size                                          *)
 
-let check_advance name lts ~old_block ~new_block =
-  let warm_b = Tau.Branching.create lts in
-  for s = 0 to lts.Lts.num_states - 1 do
-    ignore (Tau.Branching.signature_fn warm_b old_block s)
-  done;
-  Tau.Branching.advance warm_b ~old_block ~new_block;
-  let cold_b = Tau.Branching.create lts in
-  for s = 0 to lts.Lts.num_states - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: branching signature of state %d" name s)
-      true
-      (Tau.Branching.signature_fn warm_b new_block s
-      = Tau.Branching.signature_fn cold_b new_block s)
-  done
-
-let test_cache_invalidation () =
-  let lts = Lazy.force rpc_lts in
-  let n = lts.Lts.num_states in
-  let trivial = Array.make n 0 in
-  let strong = Bisim.strong_partition lts in
-  let weak = Bisim.weak_partition lts in
-  (* Splits everywhere: one block refined into the strong partition. *)
-  check_advance "split-all" lts ~old_block:trivial ~new_block:strong;
-  (* Pure renaming, no splits: a permutation of the block ids. *)
-  let blocks = 1 + Array.fold_left max 0 strong in
-  let permuted = Array.map (fun b -> (b + 7) mod blocks) strong in
-  check_advance "rename-all" lts ~old_block:strong ~new_block:permuted;
-  (* Mixed: the weak partition refined into the strong one splits some
-     blocks and renames the rest. *)
-  check_advance "mixed" lts ~old_block:weak ~new_block:strong
-
-(* The renaming primitive itself: unsplit blocks map injectively, split
-   blocks map to -1, and remap preserves content exactly. *)
-let test_renaming_primitive () =
-  let old_block = [| 0; 0; 1; 1; 2 |] in
-  let new_block = [| 1; 1; 2; 0; 3 |] in
-  let rename = Tau.renaming ~old_block ~new_block in
-  Alcotest.(check bool) "rename table" true (rename = [| 1; -1; 3 |]);
-  Alcotest.(check bool) "remap survives" true
-    (Tau.remap_pairs rename [| 0; 2 |] = Some [| 1; 3 |]);
-  Alcotest.(check bool) "remap invalidates" true
-    (Tau.remap_pairs rename [| 0; 1 |] = None)
-
-(* ------------------------------------------------------------------ *)
-(* Instruments: the branching cache counts its lookups; the weak pass
-   reports its condensation and arena size instead                      *)
-
-let test_cache_counters () =
+let test_sweep_counters () =
   let lts = Lazy.force small_streaming_lts in
-  let hits0 = Metrics.count Instruments.bisim_tau_cache_hits in
-  let misses0 = Metrics.count Instruments.bisim_tau_cache_misses in
-  ignore (Bisim.branching_partition lts);
-  Alcotest.(check bool) "cache hits recorded" true
-    (Metrics.count Instruments.bisim_tau_cache_hits > hits0);
-  Alcotest.(check bool) "cache misses recorded" true
-    (Metrics.count Instruments.bisim_tau_cache_misses > misses0);
-  let hits1 = Metrics.count Instruments.bisim_tau_cache_hits in
-  ignore (Bisim.weak_partition lts);
-  Alcotest.(check int) "weak pass records no cache hits" hits1
-    (Metrics.count Instruments.bisim_tau_cache_hits);
-  Alcotest.(check bool) "components recorded" true
-    (Metrics.value Instruments.bisim_tau_components > 0.0);
-  Alcotest.(check bool) "arena bytes recorded" true
-    (Metrics.value Instruments.bisim_tau_closure_bytes > 0.0)
+  List.iter
+    (fun (name, partition) ->
+      Metrics.set Instruments.bisim_tau_components 0.0;
+      Metrics.set Instruments.bisim_tau_closure_bytes 0.0;
+      ignore (partition lts);
+      Alcotest.(check bool) (name ^ ": components recorded") true
+        (Metrics.value Instruments.bisim_tau_components > 0.0);
+      Alcotest.(check bool) (name ^ ": arena bytes recorded") true
+        (Metrics.value Instruments.bisim_tau_closure_bytes > 0.0))
+    [ ("weak", fun l -> Bisim.weak_partition l);
+      ("branching", fun l -> Bisim.branching_partition l) ]
 
 let suite =
   [
@@ -407,14 +354,11 @@ let suite =
       test_mutant_formula_differential;
     Alcotest.test_case "lazy weak jobs-identical" `Quick
       test_weak_jobs_identity;
-    Alcotest.test_case "cached branching jobs-identical" `Quick
+    Alcotest.test_case "swept branching jobs-identical" `Quick
       test_branching_jobs_identity;
     Alcotest.test_case "weak sweep = saturated strong signatures" `Quick
       test_sweep_vs_saturation;
     QCheck_alcotest.to_alcotest ~long:false prop_tau_free_weak_is_strong;
-    Alcotest.test_case "cache advance = cold recompute" `Quick
-      test_cache_invalidation;
-    Alcotest.test_case "renaming primitive" `Quick test_renaming_primitive;
-    Alcotest.test_case "tau cache counters recorded" `Quick
-      test_cache_counters;
+    Alcotest.test_case "tau sweep counters recorded" `Quick
+      test_sweep_counters;
   ]
